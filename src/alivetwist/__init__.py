@@ -47,7 +47,6 @@ from .smc import (
     StoppingTimeCapError,
     alive_filter,
     bootstrap_filter,
-    multinomial_resample,
     sample_until_alive,
 )
 from .twist import (
@@ -100,7 +99,6 @@ __all__ = [
     "kalman_scan",
     "lg_model",
     "lg_twist",
-    "multinomial_resample",
     "pmmh_step",
     "random_positive_twist",
     "run_chain",

@@ -5,8 +5,9 @@ the four filters over a record, ``variance-grid`` sweeps the plain/twisted
 variance comparison, ``pmmh`` runs a posterior chain for the volatility
 model, and ``selftest`` runs the built-in health checks.
 
-Exit codes: 0 success, 1 usage/configuration/data error, 2 selftest failure,
-3 run aborted because a filter step exhausted its proposal cap.
+Exit codes: 0 success, 1 usage/configuration/data error (including a
+non-finite observation), 2 selftest failure, 3 run aborted because a filter
+step exhausted its proposal cap or every bootstrap particle's weight vanished.
 
 All CSV output is deterministic byte-for-byte for a given configuration and
 master seed (including under ``--workers``), using RFC-4180 CRLF rows and
@@ -25,9 +26,11 @@ from typing import List, Optional
 import numpy as np
 
 from .configs import (
+    FILTERS,
     ConfigError,
     load_config,
     build_model,
+    build_twist,
     parse_filter,
     parse_grid,
     parse_kernel,
@@ -39,8 +42,7 @@ from .models import simulate
 from .pmmh import acf
 from .rng import SeedSpec, derive_stream
 from .selftest import run_selftest
-from .smc import StoppingTimeCapError, alive_filter, bootstrap_filter
-from .twist import alive_twisted_filter, lg_twist, sv_twist
+from .smc import ParticleDeathError, StoppingTimeCapError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +82,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out", required=True, help="output CSV path")
 
     flt = commands.add_parser("filter", help="run one filter over a record")
-    flt.add_argument("--algo", required=True,
-                     choices=["alive", "bootstrap", "twisted-bootstrap", "alive-twisted"])
+    flt.add_argument("--algo", required=True, choices=list(FILTERS))
     flt.add_argument("--config", required=True,
                      help="JSON config with 'model', 'kernel' and 'filter' sections")
     flt.add_argument("--data", required=True, help="input CSV with an observation column")
@@ -142,31 +143,13 @@ def _cmd_filter(args) -> int:
     observations = load_observations(args.data, column=args.column)
     stream = derive_stream(SeedSpec(args.seed, 0))
 
-    twisted = args.algo in ("twisted-bootstrap", "alive-twisted")
-    if twisted:
-        if type(params).__name__ == "LinearGaussianParams":
-            twist = lg_twist(params, run.lag)
-        else:
-            twist = sv_twist(params, run.lag)
-
-    if args.algo == "alive":
-        kernel = parse_kernel(config)
-        generations, estimate = alive_filter(
-            model, kernel, observations, run.n_particles, run.cap, stream
-        )
-    elif args.algo == "alive-twisted":
-        kernel = parse_kernel(config)
-        generations, estimate = alive_twisted_filter(
-            model, kernel, twist, observations, run.n_particles, run.cap, stream
-        )
-    elif args.algo == "bootstrap":
-        generations, estimate = bootstrap_filter(model, observations, run.n_particles, stream)
-    else:
-        from .twist import twisted_bootstrap_filter
-
-        generations, estimate = twisted_bootstrap_filter(
-            model, twist, observations, run.n_particles, stream
-        )
+    algo = FILTERS[args.algo]
+    twisted = algo.twisted
+    kernel = parse_kernel(config) if algo.uses_kernel else None
+    twist = build_twist(params, run.lag) if twisted else None
+    generations, estimate = algo.run(
+        model, kernel, twist, observations, run.n_particles, run.cap, stream
+    )
 
     header = ["step", "stopping_time", "log_factor", "cumulative_log_z"]
     if twisted:
@@ -293,7 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except StoppingTimeCapError as err:
+    except (StoppingTimeCapError, ParticleDeathError) as err:
         print(f"alivetwist: aborted: {err}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as err:

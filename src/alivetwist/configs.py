@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .kernels import AbcKernel
 from .models import (
@@ -19,7 +19,8 @@ from .models import (
     lg_model,
     sv_model,
 )
-from .smc import DEFAULT_TRIAL_CAP
+from .smc import DEFAULT_TRIAL_CAP, alive_filter, bootstrap_filter
+from .twist import alive_twisted_filter, lg_twist, sv_twist, twisted_bootstrap_filter
 
 
 class ConfigError(ValueError):
@@ -92,6 +93,46 @@ def build_model(params) -> HmmModel:
     if isinstance(params, StochasticVolatilityParams):
         return sv_model(params)
     raise ConfigError(f"no model builder for {type(params).__name__}")
+
+
+def build_twist(params, lag: int):
+    """The lookahead twist for ``build_model(params)``."""
+    if isinstance(params, LinearGaussianParams):
+        return lg_twist(params, lag)
+    if isinstance(params, StochasticVolatilityParams):
+        return sv_twist(params, lag)
+    raise ConfigError(f"no twist builder for {type(params).__name__}")
+
+
+@dataclass(frozen=True)
+class FilterAlgo:
+    """One named filter and which optional inputs it uses.
+
+    ``run(model, kernel, twist, observations, n_particles, cap, stream)``
+    returns (generations, estimate); the filter ignores what it does not use.
+    """
+
+    run: Callable
+    uses_kernel: bool
+    twisted: bool
+
+
+FILTERS = {  # CLI name: (runner, uses_kernel, twisted)
+    "alive": FilterAlgo(lambda m, k, h, y, n, cap, s: alive_filter(m, k, y, n, cap, s), True, False),
+    "bootstrap": FilterAlgo(lambda m, k, h, y, n, cap, s: bootstrap_filter(m, y, n, s), False, False),
+    "twisted-bootstrap": FilterAlgo(
+        lambda m, k, h, y, n, cap, s: twisted_bootstrap_filter(m, h, y, n, s), False, True
+    ),
+    "alive-twisted": FilterAlgo(alive_twisted_filter, True, True),
+}
+
+
+def filter_algo(name: str) -> FilterAlgo:
+    """The FILTERS entry for ``name``; raises ValueError for an unknown name."""
+    try:
+        return FILTERS[name]
+    except KeyError:
+        raise ValueError(f"unknown filter algo {name!r}") from None
 
 
 def parse_kernel(config: dict) -> AbcKernel:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 import numpy as np
 
-from .configs import GridConfig, PmmhConfig
+from .configs import GridConfig, PmmhConfig, build_twist, filter_algo
 from .kernels import AbcKernel
 from .models import LinearGaussianParams, StochasticVolatilityParams, lg_model, simulate, sv_model
 from .pmmh import (
@@ -28,8 +29,7 @@ from .pmmh import (
     sv_sample_prior,
 )
 from .rng import SeedSpec, derive_stream
-from .smc import StoppingTimeCapError, alive_filter
-from .twist import alive_twisted_filter, lg_twist, sv_twist
+from .smc import StoppingTimeCapError
 
 
 def log_sample_variance(log_values) -> Optional[float]:
@@ -55,16 +55,12 @@ def _grid_replicate(args):
     model = lg_model(params)
     kernel = AbcKernel(config.epsilon, config.mode)
     stream = derive_stream(SeedSpec(master_seed, stream_id))
+    runner = filter_algo(algo)
+    twist = build_twist(params, config.lag) if runner.twisted else None
     try:
-        if algo == "alive":
-            _, estimate = alive_filter(
-                model, kernel, observations, config.n_particles, config.cap, stream
-            )
-        else:
-            twist = lg_twist(params, config.lag)
-            _, estimate = alive_twisted_filter(
-                model, kernel, twist, observations, config.n_particles, config.cap, stream
-            )
+        _, estimate = runner.run(
+            model, kernel, twist, observations, config.n_particles, config.cap, stream
+        )
     except StoppingTimeCapError as err:
         return ("cap_exceeded", str(err))
     return ("ok", estimate.log_total)
@@ -163,8 +159,8 @@ def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
                 date = datetime.date.fromisoformat(row[0].strip())
             except ValueError:
                 raise ValueError(f"{path}:{line}: date {row[0]!r} is not an ISO date") from None
-            if price <= 0:
-                raise ValueError(f"{path}:{line}: non-positive price {price}")
+            if not 0 < price < math.inf:
+                raise ValueError(f"{path}:{line}: price {price} is not positive and finite")
             if dates and date <= dates[-1]:
                 raise ValueError(f"{path}:{line}: dates are not strictly ascending")
             dates.append(date)
@@ -199,6 +195,8 @@ def load_observations(path: str, column: str = "observation",
                 values.append(float(row[position]))
             except (IndexError, ValueError):
                 raise ValueError(f"{path}:{line}: malformed row") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}:{line}: observation {values[-1]} is not finite")
     if not values:
         raise ValueError(f"{path}: no data rows")
     observations = np.asarray(values, dtype=float)
@@ -218,21 +216,15 @@ def sv_filter_runner(observations, config: PmmhConfig, algo: str):
     kernel = AbcKernel(config.epsilon, config.mode)
 
     def run_filter(theta, stream):
+        runner = filter_algo(algo)
         params = StochasticVolatilityParams(
             F=theta.F, nu2=theta.nu2, alpha=config.alpha, beta=config.beta,
             gamma=theta.gamma, delta=config.delta,
         )
-        model = sv_model(params)
-        if algo == "alive":
-            return alive_filter(
-                model, kernel, observations, config.n_particles, config.cap, stream
-            )
-        if algo == "alive-twisted":
-            twist = sv_twist(params, config.lag)
-            return alive_twisted_filter(
-                model, kernel, twist, observations, config.n_particles, config.cap, stream
-            )
-        raise ValueError(f"unknown posterior filter algo {algo!r}")
+        twist = build_twist(params, config.lag) if runner.twisted else None
+        return runner.run(
+            sv_model(params), kernel, twist, observations, config.n_particles, config.cap, stream
+        )
 
     return run_filter
 

@@ -57,9 +57,6 @@ class AbcKernel:
         simulated = np.asarray(simulated, dtype=float)
         return ((simulated >= lo) & (simulated <= hi)).astype(np.int64)
 
-    def weight(self, simulated: float, observed: float) -> int:
-        return int(self.weights(np.array([simulated]), observed)[0])
-
     def interval(self, observed: float) -> tuple:
         """The closed acceptance interval [lo, hi] around ``observed``.
 
@@ -94,9 +91,6 @@ class DiscreteBallKernel:
     def weights(self, simulated, observed) -> np.ndarray:
         simulated = np.asarray(simulated, dtype=np.int64)
         return self.acceptance[int(observed), simulated].astype(np.int64)
-
-    def weight(self, simulated, observed) -> int:
-        return int(self.acceptance[int(observed), int(simulated)])
 
     def accept_mask(self, observed) -> np.ndarray:
         """Boolean row of simulated symbols accepted for ``observed``."""

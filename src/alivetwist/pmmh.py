@@ -16,12 +16,11 @@ parameter makes the tolerance practically unreachable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
-from .models import StochasticVolatilityParams
 from .rng import gaussian
 from .smc import BootstrapGeneration, ParticleGeneration, StoppingTimeCapError
 
@@ -133,11 +132,6 @@ def sv_propose(spec: SvProposalSpec, theta: SvTheta, stream: np.random.Generator
     candidate = SvTheta(float(f), float(np.exp(log_nu2)), float(np.exp(log_gamma)))
     correction = (log_nu2 - math.log(theta.nu2)) + (log_gamma - math.log(theta.gamma))
     return candidate, float(correction)
-
-
-def sv_params_from_theta(base: StochasticVolatilityParams, theta: SvTheta) -> StochasticVolatilityParams:
-    """The full model parameters with the sampled coordinates substituted."""
-    return replace(base, F=theta.F, nu2=theta.nu2, gamma=theta.gamma)
 
 
 # ---------------------------------------------------------------------------

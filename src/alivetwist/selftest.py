@@ -139,8 +139,8 @@ def check_discrete_unbiasedness(master_seed: int, reps: int, n_particles: int = 
     passed = passed and good
     details.append(f"alive: mean {mean:.5f} vs {target:.5f} (z = {z:.2f})")
 
-    for label, twist in twists.items():
-        stream = derive_stream(SeedSpec(master_seed, 4 + hash(label) % 1000))
+    for position, (label, twist) in enumerate(twists.items()):
+        stream = derive_stream(SeedSpec(master_seed, 4 + position))
         values = np.empty(reps)
         for rep in range(reps):
             _, estimate = alive_twisted_filter(

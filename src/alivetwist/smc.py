@@ -22,11 +22,10 @@ is included as the baseline the accept/reject filters are compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rng import categorical_many
 
@@ -122,9 +121,22 @@ class NormConstEstimate:
         return cls(log_factors, float(sum(log_factors)))
 
 
-def multinomial_resample(stream: np.random.Generator, weights, count: int) -> np.ndarray:
-    """``count`` ancestor indices drawn iid proportional to ``weights``."""
-    return categorical_many(stream, weights, count)
+def _logsumexp1d(values: np.ndarray) -> float:
+    """log(sum(exp(values))) for a 1-d float array, without scipy's dispatch cost."""
+    shift = float(values.max())
+    if not np.isfinite(shift):
+        return shift
+    return shift + math.log(float(np.exp(values - shift).sum()))
+
+
+def checked_observations(observations, dtype=None) -> np.ndarray:
+    """The record as an array; raises ValueError if it is empty or not all finite."""
+    observations = np.asarray(observations, dtype=dtype)
+    if observations.size == 0:
+        raise ValueError("need at least one observation")
+    if not np.all(np.isfinite(observations)):
+        raise ValueError("observations must be finite")
+    return observations
 
 
 def _batch_schedule(target: int, cap: int, batch_hint: Optional[int]):
@@ -196,9 +208,7 @@ def alive_filter(model, kernel, observations, n_particles: int,
         raise ValueError("an explicit random stream is required")
     if n_particles < 2:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
-    observations = np.asarray(observations)
-    if observations.size == 0:
-        raise ValueError("need at least one observation")
+    observations = checked_observations(observations)
 
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
@@ -256,9 +266,7 @@ def bootstrap_filter(model, observations, n_particles: int,
         raise ValueError(f"need at least 1 particle, got {n_particles}")
     if model.log_observation_density is None:
         raise ValueError("bootstrap filtering requires a model with an observation density")
-    observations = np.asarray(observations, dtype=float)
-    if observations.size == 0:
-        raise ValueError("need at least one observation")
+    observations = checked_observations(observations, float)
 
     generations: List[BootstrapGeneration] = []
     log_factors: List[float] = []
@@ -270,10 +278,10 @@ def bootstrap_filter(model, observations, n_particles: int,
             k = model.transition_sampler(model.init_state_sampler(stream, n_particles), stream)
         else:
             probs = np.exp(prev.log_weights - prev.log_weights.max())
-            ancestors = multinomial_resample(stream, probs, n_particles)
+            ancestors = categorical_many(stream, probs, n_particles)
             k = model.transition_sampler(prev.states[ancestors], stream)
         log_weights = np.asarray(model.log_observation_density(y, k), dtype=float)
-        total = float(logsumexp(log_weights))
+        total = _logsumexp1d(log_weights)
         if not np.isfinite(total):
             raise ParticleDeathError(t)
         generation = BootstrapGeneration(states=k, log_weights=log_weights, ancestors=ancestors)

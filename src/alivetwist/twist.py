@@ -35,27 +35,23 @@ that matters for its variance is the binary acceptance itself, so the
 effective twist there is the product (current-step acceptance) * h.  That
 product is still a twist — just one defined on the state *and* its simulated
 pseudo-observation — so the same change-of-measure algebra applies, with
-three extra hooks supplying the acceptance-augmented quantities:
+extra hooks supplying the acceptance-augmented quantities:
 
 * ``log_qh_alive(y_window, k, kernel)`` — log E[W * h] through one
   transition plus one simulation, where W is the kernel's binary weight for
   the current observation;
 * ``log_init_qh_alive(y_window, kernel)`` — the same mass from the initial
   law;
-* ``sample_guided_pair(k_anc, y_window, kernel, model, stream, step,
-  max_trials)`` — a (state, pseudo-observation, trials) draw from the
-  transition reweighted by h *conditioned on acceptance*, so the guided
-  particle always lands inside the kernel's ball.
-
-Two further hooks are optional.  When a twist implements
-``propose_guided_states(k_anc, y_window, stream, count)`` (iid candidate
-states from the h-reweighted transition, before any acceptance check) and
-reports via ``guided_pair_is_exact(model)`` that its guided pair would need
-rejection sampling for the model at hand, the alive filter batches those
-candidates together with the plain pool's proposals so one simulated
-observation batch and one kernel evaluation serve both.  The sampled law and
-the proposal-cap accounting are identical to running the guided rejection
-loop on its own; only the batching changes.
+* ``guided_pair_is_exact(model)`` — whether the next hook can serve the model;
+* ``sample_guided_pair(k_anc, y_window, kernel, model, stream)`` — an exact
+  (state, pseudo-observation, trials) draw from the transition reweighted by
+  h *conditioned on acceptance*, so the guided particle lands inside the
+  kernel's ball;
+* ``propose_guided_states(k_anc, y_window, stream, count)`` — iid candidate
+  states from the h-reweighted transition, before any acceptance check;
+  needed only where the guided pair is not exact.  The filter then keeps the
+  first accepted candidate (rejection sampling), with the first candidates
+  sharing one simulated-observation batch with the plain pool's proposals.
 
 The alive step factor is then [sum of qh-with-acceptance over the previous
 pool's accepted particles] / [sum of h over the current pool's accepted
@@ -75,16 +71,17 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri_exp
 
-from .models import _LOG_TWO_PI, DiscreteHmmParams, ar1_lookahead_variance, norm_logpdf
+from .models import DiscreteHmmParams, ar1_lookahead_variance, norm_logpdf
 from .rng import categorical, categorical_many, uniform_index
 from .smc import (
-    _MAX_BATCH,
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
     NormConstEstimate,
     ParticleDeathError,
     ParticleGeneration,
     StoppingTimeCapError,
+    _logsumexp1d,
+    checked_observations,
     sample_until_alive,
 )
 
@@ -101,14 +98,6 @@ def _clamped_log(values) -> np.ndarray:
         if np.any(np.isnan(values)) or np.any(values == np.inf):
             raise DegenerateTwistError("twist evaluated to a non-finite value")
     return np.maximum(values, LOG_FLOOR)
-
-
-def _logsumexp1d(values: np.ndarray) -> float:
-    """log(sum(exp(values))) for a 1-d float array, without scipy's dispatch cost."""
-    shift = float(values.max())
-    if not np.isfinite(shift):
-        return shift
-    return shift + math.log(float(np.exp(values - shift).sum()))
 
 
 def _insert_scalar(arr: np.ndarray, slot: int, value) -> np.ndarray:
@@ -233,13 +222,7 @@ class GaussianLookaheadTwist:
         if lag == 0:
             return np.zeros(k.shape)
         target = float(y_window[lag])
-        var = self._predictive_var(lag)
-        # norm_logpdf followed by _clamped_log, inlined for the filter hot loop
-        values = -0.5 * (_LOG_TWO_PI + math.log(var) + (target - self.phi**lag * k) ** 2 / var)
-        if not np.all(np.isfinite(values)):
-            if np.any(np.isnan(values)) or np.any(values == np.inf):
-                raise DegenerateTwistError("twist evaluated to a non-finite value")
-        return np.maximum(values, LOG_FLOOR)
+        return _clamped_log(norm_logpdf(target, self.phi**lag * k, self._predictive_var(lag)))
 
     def log_qh(self, y_window, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -314,28 +297,10 @@ class GaussianLookaheadTwist:
 
     def log_qh_alive(self, y_window, k, kernel) -> np.ndarray:
         """log E[W * h] through one transition plus one simulation from k."""
-        k = np.asarray(k, dtype=float)
         lo, hi = kernel.interval(float(y_window[0]))
-        lag = self._effective_lag(y_window)
-        if lag == 0:
-            return _log_interval_mass(self.phi * k, self.nu2 + self.obs_var, lo, hi)
-        # same algebra as _twisted_transition_moments / log_qh, sharing the
-        # window lookups across the two vector passes
-        target = float(y_window[lag])
-        s2 = self._predictive_var(lag)
-        var = 1.0 / (1.0 / self.nu2 + self.phi ** (2 * lag) / s2)
-        mean = (var * self.phi / self.nu2) * k + var * self.phi**lag * target / s2
+        mean, var = self._twisted_transition_moments(y_window, k)
         mass = _log_interval_mass(mean, var + self.obs_var, lo, hi)
-        qh_var = self._predictive_var(lag + 1)
-        # norm_logpdf followed by _clamped_log, inlined for the filter hot loop
-        log_qh = -0.5 * (
-            _LOG_TWO_PI + math.log(qh_var) + (target - self.phi ** (lag + 1) * k) ** 2 / qh_var
-        )
-        if not np.all(np.isfinite(log_qh)):
-            if np.any(np.isnan(log_qh)) or np.any(log_qh == np.inf):
-                raise DegenerateTwistError("twist evaluated to a non-finite value")
-        log_qh = np.maximum(log_qh, LOG_FLOOR)
-        return np.maximum(log_qh + mass, LOG_FLOOR)
+        return np.maximum(self.log_qh(y_window, k) + mass, LOG_FLOOR)
 
     def log_init_qh_alive(self, y_window, kernel) -> float:
         """log E[W * h] from the initial law plus one transition."""
@@ -359,52 +324,35 @@ class GaussianLookaheadTwist:
         return float(mean_arr[0]) + math.sqrt(var) * stream.standard_normal(count)
 
     def guided_pair_is_exact(self, model) -> bool:
-        """Whether sample_guided_pair draws without rejection for this model."""
+        """Whether sample_guided_pair can draw the guided pair for this model."""
         return model.metadata.get("kind") == "linear_gaussian"
 
-    def sample_guided_pair(self, k_anc, y_window, kernel, model, stream,
-                           step: int, max_trials: int):
+    def sample_guided_pair(self, k_anc, y_window, kernel, model, stream):
         """A (state, pseudo_obs, trials) draw from f * h conditioned on acceptance.
 
-        When the model's observation law is the Gaussian the twist already
-        assumes, the pair is drawn exactly: the pseudo-observation from its
-        truncated marginal over the kernel's interval, then the state from
-        the conjugate conditional.  Any other observation law falls back to
-        rejection — draw from the h-reweighted transition, simulate, keep the
-        first accepted pair — with the trial count reported so the caller can
-        charge it against the step's proposal cap.
+        Only for a model whose observation law is the Gaussian the twist
+        already assumes: the pseudo-observation comes from its truncated
+        marginal over the kernel's interval, then the state from the conjugate
+        conditional, for one trial.  Any other model raises ValueError; the
+        alive filter draws its guided pair from propose_guided_states instead.
         """
-        y = float(y_window[0])
-        lo, hi = kernel.interval(y)
-        if model.metadata.get("kind") == "linear_gaussian":
-            if k_anc is None:
-                mean, var = self._twisted_init_moments(y_window)
-            else:
-                mean_arr, var = self._twisted_transition_moments(
-                    y_window, np.asarray([k_anc], dtype=float)
-                )
-                mean = float(mean_arr[0])
-            total_var = var + self.obs_var
-            obs = _truncated_gaussian(stream, mean, total_var, lo, hi)
-            shrink = var / total_var
-            cond_mean = mean + shrink * (obs - mean)
-            cond_var = var * self.obs_var / total_var
-            state = cond_mean + math.sqrt(cond_var) * float(stream.standard_normal())
-            return float(state), float(obs), 1
-        trials = 0
-        batch = 8
-        while trials < max_trials:
-            count = int(min(batch, max_trials - trials))
-            states = self.propose_guided_states(k_anc, y_window, stream, count)
-            obs = model.observation_sampler(states, stream)
-            weights = kernel.weights(obs, y)
-            hits = weights.nonzero()[0]
-            if hits.size:
-                first = int(hits[0])
-                return float(states[first]), float(obs[first]), trials + first + 1
-            trials += count
-            batch = min(batch * 4, 4096)
-        raise StoppingTimeCapError(step, trials, 0, 1, max_trials)
+        if not self.guided_pair_is_exact(model):
+            raise ValueError("no exact guided pair for this model")
+        lo, hi = kernel.interval(float(y_window[0]))
+        if k_anc is None:
+            mean, var = self._twisted_init_moments(y_window)
+        else:
+            mean_arr, var = self._twisted_transition_moments(
+                y_window, np.asarray([k_anc], dtype=float)
+            )
+            mean = float(mean_arr[0])
+        total_var = var + self.obs_var
+        obs = _truncated_gaussian(stream, mean, total_var, lo, hi)
+        shrink = var / total_var
+        cond_mean = mean + shrink * (obs - mean)
+        cond_var = var * self.obs_var / total_var
+        state = cond_mean + math.sqrt(cond_var) * float(stream.standard_normal())
+        return float(state), float(obs), 1
 
 
 def lg_twist(params, lag: int) -> GaussianLookaheadTwist:
@@ -522,8 +470,7 @@ class DiscreteTableTwist:
         """The finite-state guided pair is always drawn without rejection."""
         return True
 
-    def sample_guided_pair(self, k_anc, y_window, kernel, model, stream,
-                           step: int, max_trials: int):
+    def sample_guided_pair(self, k_anc, y_window, kernel, model, stream):
         """Exact draw of (state, symbol) from f * h conditioned on acceptance."""
         masked = self._masked_h(y_window, kernel)
         if k_anc is None:
@@ -589,9 +536,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
         raise ValueError(f"need at least 2 particles, got {n_particles}")
     if model.log_observation_density is None:
         raise ValueError("bootstrap filtering requires a model with an observation density")
-    observations = np.asarray(observations, dtype=float)
-    if observations.size == 0:
-        raise ValueError("need at least one observation")
+    observations = checked_observations(observations, float)
 
     generations: List[BootstrapGeneration] = []
     log_factors: List[float] = []
@@ -644,98 +589,26 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     return generations, NormConstEstimate.from_log_factors(log_factors)
 
 
-def _fused_alive_step(twist, model, kernel, propose_latents, guided_anchor,
-                      y_window, y, plain_target, cap, stream, batch_hint, step):
-    """One guided draw plus the plain pool, through shared simulation batches.
+GUIDED_PREFIX = 8  # guided candidates in front of an inexact step's first plain batch
 
-    The guided candidates ride in front of the plain proposals so a single
-    simulated-observation batch and a single kernel evaluation serve both.
-    The sampled law matches running the guided rejection loop first and the
-    plain accept/reject loop second; proposals of both kinds are charged
-    against the same per-step cap, counting only draws up to each stopping
-    position (speculative tails are free, as in sample_until_alive).
 
-    Returns (guided_state, guided_obs, guided_trials, pool, rest) where pool
-    and rest mirror sample_until_alive's output for the plain proposals.
-    """
-    guided_block = min(8, cap - plain_target)
-    if guided_block < 1:
-        raise StoppingTimeCapError(step, 0, 0, plain_target + 1, cap)
-    plain_size = max(plain_target, batch_hint) if batch_hint else max(2 * plain_target, 64)
-    plain_size = min(plain_size, _MAX_BATCH, cap - guided_block)
-
-    guided_states = twist.propose_guided_states(guided_anchor, y_window, stream, guided_block)
-    plain = propose_latents(stream, plain_size)
-    all_obs = model.observation_sampler(
-        np.concatenate([guided_states, plain["states"]]), stream
-    )
-    weights = kernel.weights(all_obs, y)
-    spent = guided_block + plain_size
-
-    guided_hits = weights[:guided_block].nonzero()[0]
-    guided_trials = guided_block
-    guided_state = guided_obs = None
-    if guided_hits.size:
-        hit = int(guided_hits[0])
-        guided_state = float(guided_states[hit])
-        guided_obs = float(all_obs[hit])
-        guided_trials = hit + 1
-        spent -= guided_block - guided_trials
-    plain["pseudo_obs"] = all_obs[guided_block:]
-    plain_weights = weights[guided_block:]
-
-    batch = 4 * guided_block
-    while guided_state is None:
-        count = min(batch, cap - spent)
-        if count <= 0:
-            raise StoppingTimeCapError(step, guided_trials, 0, 1, cap)
-        states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
-        obs = model.observation_sampler(states, stream)
-        hits = kernel.weights(obs, y).nonzero()[0]
-        if hits.size:
-            hit = int(hits[0])
-            guided_state = float(states[hit])
-            guided_obs = float(obs[hit])
-            guided_trials += hit + 1
-            spent += hit + 1
-        else:
-            guided_trials += count
-            spent += count
-            batch = min(batch * 4, 4096)
-
-    cumulative = np.cumsum(plain_weights)
-    accepted = int(cumulative[-1])
-    if accepted >= plain_target:
-        stop = int(np.searchsorted(cumulative, plain_target, side="left")) + 1
-        pool = {name: values[:stop] for name, values in plain.items()}
-        pool["weights"] = plain_weights[:stop]
-        return guided_state, guided_obs, guided_trials, pool, stop
-
-    plain["weights"] = plain_weights
-    chunks = [plain]
-    drawn = plain_size
-    size = min(2 * plain_size, _MAX_BATCH)
-    while True:
-        count = min(size, cap - spent)
-        if count <= 0:
-            raise StoppingTimeCapError(step, drawn, accepted, plain_target, cap)
-        batch_p = propose_latents(stream, count)
-        batch_p["pseudo_obs"] = model.observation_sampler(batch_p["states"], stream)
-        w = kernel.weights(batch_p["pseudo_obs"], y)
-        batch_p["weights"] = w
-        chunks.append(batch_p)
-        spent += count
-        cumulative = accepted + np.cumsum(w)
-        if int(cumulative[-1]) >= plain_target:
-            stop = int(np.searchsorted(cumulative, plain_target, side="left")) + 1
-            pool = {
-                name: np.concatenate([chunk[name] for chunk in chunks])[: drawn + stop]
-                for name in chunks[0]
-            }
-            return guided_state, guided_obs, guided_trials, pool, drawn + stop
-        drawn += count
-        accepted = int(cumulative[-1])
-        size = min(2 * size, _MAX_BATCH)
+def _guided_pair_after_prefix(propose_guided, prefix, kernel, y, spent: int, cap: int,
+                              n_particles: int, stream, step: int):
+    """(state, pseudo_obs) of the first accepted ``prefix`` candidate, else of
+    the first accepted one ``propose_guided`` draws within ``cap - spent``."""
+    hits = kernel.weights(prefix["pseudo_obs"], y).nonzero()[0]
+    if hits.size:
+        return prefix["states"][hits[0]], prefix["pseudo_obs"][hits[0]]
+    if cap > spent:
+        try:
+            found, _ = sample_until_alive(
+                propose_guided, kernel, y, 1, cap - spent, stream,
+                batch_hint=4 * GUIDED_PREFIX, step=step,
+            )
+            return found["states"][-1], found["pseudo_obs"][-1]
+        except StoppingTimeCapError as err:
+            spent += err.drawn
+    raise StoppingTimeCapError(step, spent, n_particles - 1, n_particles, cap)
 
 
 def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
@@ -748,17 +621,21 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     one-step expectation ``qh_alive`` is qh times the probability that a
     fresh simulation lands inside the kernel's acceptance region.
 
-    Per step: one guided particle is drawn first — ancestor proportional to
-    qh_alive among the previous pool's accepted particles (first T - 1
-    slots), then a (state, pseudo-observation) pair from the h-reweighted
-    transition *conditioned on acceptance*, so the guided slot is always
-    alive.  Ordinary proposals then continue until n_particles - 1 more are
-    accepted, the guided particle is placed at a uniformly drawn slot among
-    the first T - 1, and any trials the guided draw consumed are charged
-    against the step's proposal cap.  When the twist reports that its guided
-    pair needs rejection sampling for this model, the guided candidates and
-    the plain pool share simulation batches (see _fused_alive_step); the
-    sampled law is unchanged.
+    Per step: one guided ancestor is drawn proportional to qh_alive among the
+    previous pool's accepted particles (first T - 1 slots), and the guided
+    (state, pseudo-observation) pair comes from the h-reweighted transition
+    *conditioned on acceptance*, so the guided slot is always alive.
+    Ordinary proposals continue until n_particles - 1 are accepted, through
+    one sample_until_alive call, and the guided particle is placed at a
+    uniformly drawn slot among the first T - 1.
+
+    When ``twist.guided_pair_is_exact(model)`` holds, sample_guided_pair draws
+    the pair before the pool.  Otherwise GUIDED_PREFIX candidates from
+    ``propose_guided_states`` ride in front of the pool's first batch, so one
+    simulated-observation batch serves both; the first accepted one is the
+    pair, and if none is, sample_until_alive draws more from what the pool
+    left of the cap.  Guided candidates up to the accepted one plus plain
+    proposals up to the stopping position never exceed the cap.
 
     The step factor is the previous pool's accepted-particle sum of qh_alive
     over the current pool's accepted-particle sum of h (first T - 1 slots
@@ -772,21 +649,14 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
         raise ValueError("an explicit random stream is required")
     if n_particles < 2:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
-    observations = np.asarray(observations)
-    if observations.size == 0:
-        raise ValueError("need at least one observation")
+    observations = checked_observations(observations)
 
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     batch_hint = None
     prev: Optional[ParticleGeneration] = None
     accepted_idx = accepted_states = None  # prev's weight-1 slots in its first T - 1
-    exactness = getattr(twist, "guided_pair_is_exact", None)
-    fused = (
-        getattr(twist, "propose_guided_states", None) is not None
-        and exactness is not None
-        and not exactness(model)
-    )
+    exact = twist.guided_pair_is_exact(model)
 
     for t in range(observations.size):
         y = observations[t]
@@ -819,26 +689,40 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
                     "ancestors": ancestors,
                 }
 
-        if fused:
-            guided_state, guided_obs, guided_trials, pool, rest = _fused_alive_step(
-                twist, model, kernel, propose_latents, guided_anchor, y_window,
-                y, n_particles - 1, cap, stream, batch_hint, t,
-            )
-        else:
-            def propose(stream, count, propose_latents=propose_latents):
+        def propose_guided(stream, count):
+            states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
+            return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+
+        prefix = {}  # an inexact step's guided candidates, drawn with the first plain batch
+
+        def propose(stream, count):
+            if exact or prefix:
                 out = propose_latents(stream, count)
                 out["pseudo_obs"] = model.observation_sampler(out["states"], stream)
                 return out
-
-            guided_state, guided_obs, guided_trials = twist.sample_guided_pair(
-                guided_anchor, y_window, kernel, model, stream, t, cap
+            guided = prefix["states"] = twist.propose_guided_states(
+                guided_anchor, y_window, stream, reserved
             )
-            remaining_cap = cap - guided_trials
-            if remaining_cap < n_particles - 1:
-                raise StoppingTimeCapError(t, guided_trials, 1, n_particles, cap)
-            pool, rest = sample_until_alive(
-                propose, kernel, y, n_particles - 1, remaining_cap, stream,
-                batch_hint=batch_hint, step=t,
+            out = propose_latents(stream, count)
+            obs = model.observation_sampler(np.concatenate([guided, out["states"]]), stream)
+            prefix["pseudo_obs"], out["pseudo_obs"] = obs[:reserved], obs[reserved:]
+            return out
+
+        if exact:
+            guided_state, guided_obs, reserved = twist.sample_guided_pair(
+                guided_anchor, y_window, kernel, model, stream
+            )
+        else:
+            reserved = max(min(GUIDED_PREFIX, cap - n_particles + 1), 0)
+        if cap - reserved < n_particles - 1:
+            raise StoppingTimeCapError(t, reserved, int(exact), n_particles, cap)
+        pool, rest = sample_until_alive(
+            propose, kernel, y, n_particles - 1, cap - reserved, stream,
+            batch_hint=batch_hint, step=t,
+        )
+        if not exact:
+            guided_state, guided_obs = _guided_pair_after_prefix(
+                propose_guided, prefix, kernel, y, reserved + rest, cap, n_particles, stream, t
             )
         stopping_time = rest + 1
         slot = int(stream.integers(0, stopping_time - 1))

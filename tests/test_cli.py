@@ -163,6 +163,23 @@ class TestFilter:
                          "--data", lg_data, "--out", out]) == 3
         assert "aborted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["alive", "bootstrap", "twisted-bootstrap", "alive-twisted"])
+    def test_non_finite_observation_exits_1(self, tmp_path, lg_config, algo, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("observation\n0.5\nnan\n1.0\n", encoding="utf-8")
+        assert cli.main(["filter", "--algo", algo, "--config", lg_config,
+                         "--data", str(data), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "not finite" in capsys.readouterr().err
+
+    def test_particle_death_exits_3(self, tmp_path, lg_config, capsys):
+        data = tmp_path / "far.csv"
+        data.write_text("observation\n0.5\n1e200\n1.0\n", encoding="utf-8")
+        with np.errstate(over="ignore"):
+            code = cli.main(["filter", "--algo", "bootstrap", "--config", lg_config,
+                             "--data", str(data), "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "aborted: particle death at step 1" in capsys.readouterr().err
+
     def test_missing_data_file_exits_1(self, tmp_path, lg_config, capsys):
         assert cli.main(["filter", "--algo", "alive", "--config", lg_config,
                          "--data", str(tmp_path / "absent.csv"),

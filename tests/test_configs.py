@@ -2,14 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from alivetwist.configs import (
+    FILTERS,
     ConfigError,
     FilterConfig,
     GridConfig,
     PmmhConfig,
     build_model,
+    build_twist,
+    filter_algo,
     load_config,
     parse_filter,
     parse_grid,
@@ -17,7 +21,9 @@ from alivetwist.configs import (
     parse_model,
     parse_pmmh,
 )
-from alivetwist.models import LinearGaussianParams, StochasticVolatilityParams
+from alivetwist.kernels import AbcKernel
+from alivetwist.models import LinearGaussianParams, StochasticVolatilityParams, lg_model
+from alivetwist.rng import SeedSpec, derive_stream
 
 
 class TestLoadConfig:
@@ -81,6 +87,34 @@ class TestParseModel:
         assert sv.log_observation_density is None
         with pytest.raises(ConfigError):
             build_model(object())
+
+    def test_build_twist(self):
+        lg = build_twist(LinearGaussianParams(0.9, 1.0, 1.0), 3)
+        assert (lg.obs_var, lg.lag, lg.metadata) == (1.0, 3, {})
+        sv = build_twist(StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5), 2)
+        assert sv.obs_var == 2 * 0.5**2 and "surrogate_obs_var" in sv.metadata
+        with pytest.raises(ConfigError):
+            build_twist(object(), 1)
+
+
+class TestFilterTable:
+    def test_names_and_unknown_name(self):
+        assert sorted(FILTERS) == ["alive", "alive-twisted", "bootstrap", "twisted-bootstrap"]
+        assert filter_algo("alive") is FILTERS["alive"]
+        with pytest.raises(ValueError, match="smoother"):
+            filter_algo("smoother")
+
+    @pytest.mark.parametrize("algo", sorted(FILTERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_filter_rejects_non_finite_observations(self, algo, bad):
+        params = LinearGaussianParams(0.9, 1.0, 1.0)
+        runner = FILTERS[algo]
+        twist = build_twist(params, 2) if runner.twisted else None
+        with pytest.raises(ValueError, match="finite"):
+            runner.run(
+                lg_model(params), AbcKernel(1.0, "absolute"), twist, [0.0, bad], 10, 1000,
+                derive_stream(SeedSpec(0, 0)),
+            )
 
 
 class TestParseKernel:

@@ -183,6 +183,12 @@ class TestLoadReturns:
         with pytest.raises(ValueError):
             load_returns(path)
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "1e400"])
+    def test_non_finite_price(self, tmp_path, price):
+        path = self._write(tmp_path, f"2024-01-02,10.0\n2024-01-03,{price}\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_returns(path)
+
 
 class TestLoadObservations:
     def _write(self, tmp_path, text):
@@ -211,6 +217,12 @@ class TestLoadObservations:
     def test_malformed_inputs(self, tmp_path, text):
         path = self._write(tmp_path, text)
         with pytest.raises(ValueError):
+            load_observations(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = self._write(tmp_path, f"observation\n1.0\n{value}\n")
+        with pytest.raises(ValueError, match=":3: observation .* is not finite"):
             load_observations(path)
 
 

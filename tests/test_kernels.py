@@ -60,13 +60,6 @@ class TestAbcKernelInterval:
             kernel.weights(simulated, observed), np.array([0, 1, 1, 1, 0], dtype=np.int64)
         )
 
-    def test_scalar_weight_agrees_with_vector(self):
-        kernel = AbcKernel(epsilon=0.4, mode="absolute")
-        for simulated in (-0.5, 0.0, 0.39, 0.41):
-            assert kernel.weight(simulated, 0.0) == int(
-                kernel.weights(np.array([simulated]), 0.0)[0]
-            )
-
     @settings(max_examples=60, deadline=None)
     @given(
         observed=st.floats(-1e6, 1e6),

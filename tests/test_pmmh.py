@@ -17,11 +17,9 @@ from alivetwist.pmmh import (
     run_chain,
     select_path,
     sv_log_prior,
-    sv_params_from_theta,
     sv_propose,
     sv_sample_prior,
 )
-from alivetwist.models import StochasticVolatilityParams
 from alivetwist.rng import gaussian
 from alivetwist.smc import (
     BootstrapGeneration,
@@ -140,13 +138,6 @@ class TestSvProposal:
 
         want = log_q(candidate, theta) - log_q(theta, candidate)
         assert correction == pytest.approx(want, rel=1e-10)
-
-    def test_params_substitution(self):
-        base = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
-        theta = SvTheta(0.3, 0.04, 0.9)
-        params = sv_params_from_theta(base, theta)
-        assert (params.F, params.nu2, params.gamma) == (0.3, 0.04, 0.9)
-        assert (params.alpha, params.beta) == (base.alpha, base.beta)
 
 
 def _bootstrap_gen(states, log_weights, ancestors=None):

@@ -17,7 +17,6 @@ from alivetwist import (
     bootstrap_filter,
     kalman_log_marginal,
     lg_model,
-    multinomial_resample,
     sample_until_alive,
     simulate,
 )
@@ -278,13 +277,3 @@ class TestBootstrapFilter:
             for rep in range(300)
         ])
         assert monte_carlo_z(estimates, 1.0) < 3.0
-
-
-class TestMultinomialResample:
-    def test_draws_proportional_to_weights(self):
-        stream = stream_for(223)
-        weights = np.array([1.0, 3.0, 6.0])
-        draws = multinomial_resample(stream, weights, 30_000)
-        for index, p in enumerate(weights / weights.sum()):
-            observed = (draws == index).mean()
-            assert abs(observed - p) < 4 * np.sqrt(p * (1 - p) / draws.size)

@@ -24,6 +24,7 @@ from alivetwist import (
     lg_model,
     lg_twist,
     random_positive_twist,
+    sample_until_alive,
     sv_twist,
 )
 from alivetwist.twist import (
@@ -322,27 +323,32 @@ class TestGuidedPair:
         lo, hi = kernel.interval(float(window[0]))
         stream = stream_for(241)
         for _ in range(50):
-            state, obs, trials = twist.sample_guided_pair(
-                0.4, window, kernel, model, stream, 0, 10**6
-            )
+            state, obs, trials = twist.sample_guided_pair(0.4, window, kernel, model, stream)
             assert trials == 1
             assert lo <= obs <= hi
 
     def test_rejection_path_matches_exact_path_in_law(self):
-        """Disguising the model's metadata flips the implementation from the
-        conjugate closed form to rejection sampling; the sampled law of the
-        accepted pair must not change."""
+        """The conjugate closed form and the first accepted candidate from
+        sample_until_alive over propose_guided_states (the route the filter
+        takes when the pair is not exact) must draw the same law."""
         model, twist, window, kernel = self._setup()
         disguised = dataclasses.replace(model, metadata={"kind": "custom"})
+        with pytest.raises(ValueError):
+            twist.sample_guided_pair(0.4, window, kernel, disguised, stream_for(242))
         stream_a, stream_b = stream_for(242), stream_for(243)
         exact = np.array([
-            twist.sample_guided_pair(0.4, window, kernel, model, stream_a, 0, 10**6)[:2]
+            twist.sample_guided_pair(0.4, window, kernel, model, stream_a)[:2]
             for _ in range(3000)
         ])
-        rejected = np.array([
-            twist.sample_guided_pair(0.4, window, kernel, disguised, stream_b, 0, 10**6)[:2]
-            for _ in range(3000)
-        ])
+
+        def propose(stream, count):
+            states = twist.propose_guided_states(0.4, window, stream, count)
+            return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+
+        rejected = np.empty((3000, 2))
+        for row in rejected:
+            pool, _ = sample_until_alive(propose, kernel, window[0], 1, 10**6, stream_b)
+            row[:] = pool["states"][-1], pool["pseudo_obs"][-1]
         assert stats.ks_2samp(exact[:, 0], rejected[:, 0]).pvalue > 1e-3
         assert stats.ks_2samp(exact[:, 1], rejected[:, 1]).pvalue > 1e-3
 
@@ -366,24 +372,11 @@ class TestGuidedPair:
         var = weighted(lambda x: x * x) / total - mean**2
         stream = stream_for(244)
         states = np.array([
-            twist.sample_guided_pair(anchor, window, kernel, model, stream, 0, 10**6)[0]
+            twist.sample_guided_pair(anchor, window, kernel, model, stream)[0]
             for _ in range(4000)
         ])
         assert abs(states.mean() - mean) < 4 * math.sqrt(var / states.size)
         assert abs(states.var() - var) < 0.05 * var
-
-    def test_impossible_interval_exhausts_trials(self):
-        model, twist, window, kernel = self._setup()
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
-        hopeless = np.array(window, copy=True)
-        hopeless[0] = 1e6  # acceptance interval nowhere near the proposal mass
-        from alivetwist import StoppingTimeCapError
-
-        with pytest.raises(StoppingTimeCapError):
-            twist.sample_guided_pair(
-                0.4, hopeless, AbcKernel(epsilon=0.1, mode="absolute"),
-                disguised, stream_for(245), 0, 200,
-            )
 
 
 class TestDiscreteTableTwist:
@@ -456,7 +449,7 @@ class TestDiscreteTableTwist:
         lattice = lattice / lattice.sum()
         stream = stream_for(251)
         draws = np.array([
-            twist.sample_guided_pair(0, window, kernel, None, stream, 0, 10)
+            twist.sample_guided_pair(0, window, kernel, None, stream)
             for _ in range(20_000)
         ])
         assert np.all(draws[:, 2] == 1)  # exact draws cost one trial

@@ -284,6 +284,22 @@ class TestAliveTwisted:
         with pytest.raises(StoppingTimeCapError):
             alive_twisted_filter(disguised, tight, twist, [50.0], 10, cap=300, stream=stream_for(279))
 
+    def test_unreachable_guided_pair_stops_within_the_cap(self):
+        """The plain pool goes alive at y = 0, but lag 1 pulls every guided
+        candidate toward the far next observation, so none is accepted: the
+        step must raise the cap error having charged no more than the cap."""
+        model = lg_model(PARAMS)
+        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
+        kernel = AbcKernel(epsilon=1.0, mode="absolute")
+        with pytest.raises(StoppingTimeCapError) as info:
+            alive_twisted_filter(
+                disguised, kernel, lg_twist(PARAMS, 1), [0.0, 1e6], 10, cap=5000,
+                stream=stream_for(287),
+            )
+        err = info.value
+        assert (err.step, err.accepted, err.target) == (0, 9, 10)  # only the guided slot is missing
+        assert err.cap == 5000 and err.drawn <= err.cap
+
     def test_variance_reduction_on_paired_replicates(self):
         """The guided estimator's log-estimate variance drops below the plain
         alive filter's on the same data at matched particle counts."""
