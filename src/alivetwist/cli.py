@@ -275,7 +275,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "selftest": _cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        # extreme finite observations overflow squared distances to inf; the
+        # filters turn that into particle death or a cap error, reported below
+        with np.errstate(over="ignore"):
+            return handlers[args.command](args)
     except (StoppingTimeCapError, ParticleDeathError) as err:
         print(f"alivetwist: aborted: {err}", file=sys.stderr)
         return 3

@@ -79,21 +79,27 @@ class ParticleGeneration:
     log_wh_sum: Optional[float] = None
 
     def validate(self, target: int, prev_stopping_time: Optional[int] = None) -> None:
-        """Assert the structural invariants; used by tests and the selftest."""
+        """Raise ValueError unless the structural invariants hold."""
         t = self.stopping_time
-        assert t >= target, "stopping time cannot be below the acceptance target"
-        assert len(self.states) == len(self.pseudo_obs) == len(self.weights) == t
-        assert set(np.unique(self.weights)).issubset({0, 1}), "weights must be binary"
-        assert int(self.weights.sum()) == target, "acceptances must hit the target exactly"
-        assert int(self.weights[-1]) == 1, "the final stored particle must be accepted"
+        _require(t >= target, "stopping time cannot be below the acceptance target")
+        _require(len(self.states) == len(self.pseudo_obs) == len(self.weights) == t,
+                 "states, pseudo_obs and weights must all have length stopping_time")
+        _require(set(np.unique(self.weights)).issubset({0, 1}), "weights must be binary")
+        _require(int(self.weights.sum()) == target, "acceptances must hit the target exactly")
+        _require(int(self.weights[-1]) == 1, "the final stored particle must be accepted")
         if self.ancestors is not None and prev_stopping_time is not None:
-            assert len(self.ancestors) == t
-            assert self.ancestors.min() >= 0
-            assert self.ancestors.max() <= prev_stopping_time - 2, (
-                "ancestors must come from the previous pool's first T - 1 slots"
-            )
+            _require(len(self.ancestors) == t, "ancestors must have length stopping_time")
+            _require(0 <= self.ancestors.min() and self.ancestors.max() <= prev_stopping_time - 2,
+                     "ancestors must come from the previous pool's first T - 1 slots")
         if self.twisted_index is not None:
-            assert 0 <= self.twisted_index <= t - 2, "twisted slot must sit within the first T - 1"
+            _require(0 <= self.twisted_index <= t - 2,
+                     "twisted slot must sit within the first T - 1")
+
+
+def _require(condition, message: str) -> None:
+    """Raise ValueError(message) unless ``condition``; unlike assert, kept under -O."""
+    if not condition:
+        raise ValueError(message)
 
 
 @dataclass(slots=True)

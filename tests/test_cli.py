@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,16 @@ def lg_config(tmp_path):
 @pytest.fixture
 def sv_config(tmp_path):
     return _write_json(tmp_path, "sv.json", SV_CONFIG)
+
+
+@pytest.fixture
+def far_record(tmp_path):
+    """A finite record whose 1e200 row no particle can reach, and a config
+    with an absolute kernel, 10 particles and a proposal cap of 10000."""
+    data = tmp_path / "far.csv"
+    data.write_text("observation\n0.5\n1e200\n1.0\n", encoding="utf-8")
+    config = dict(LG_CONFIG, filter={"n_particles": 10, "lag": 3, "cap": 10000})
+    return _write_json(tmp_path, "far.json", config), str(data)
 
 
 @pytest.fixture
@@ -179,6 +190,26 @@ class TestFilter:
                              "--data", str(data), "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "aborted: particle death at step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["alive", "bootstrap", "twisted-bootstrap", "alive-twisted"])
+    def test_extreme_finite_observation_aborts_quietly(self, tmp_path, far_record, algo, capsys):
+        config, data = far_record
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            code = cli.main(["filter", "--algo", algo, "--config", config,
+                             "--data", data, "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("alivetwist: aborted:")
+
+    def test_both_alive_filters_report_the_step_on_cap_errors(self, tmp_path, far_record, capsys):
+        config, data = far_record
+        messages = []
+        for algo in ("alive", "alive-twisted"):
+            assert cli.main(["filter", "--algo", algo, "--config", config,
+                             "--data", data, "--out", str(tmp_path / "x.csv")]) == 3
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "0/10 acceptances after 10000 of at most 10000 proposals" in messages[0]
 
     def test_missing_data_file_exits_1(self, tmp_path, lg_config, capsys):
         assert cli.main(["filter", "--algo", "alive", "--config", lg_config,

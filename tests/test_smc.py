@@ -1,6 +1,10 @@
 """Accept/reject filtering core: stopping times, pools, and estimates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from alivetwist.models import HmmModel
 from alivetwist.smc import _batch_schedule
 
 from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class BinaryKernel:
@@ -58,6 +64,21 @@ class TestErrors:
     def test_particle_death_carries_step(self):
         err = ParticleDeathError(step=7)
         assert err.step == 7 and "step 7" in str(err)
+
+    def test_generation_validation_survives_optimisation(self):
+        """validate raises ValueError on a broken pool even under python -O,
+        which strips assert statements."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        script = (
+            "import numpy as np; from alivetwist import ParticleGeneration\n"
+            "pool = ParticleGeneration(np.zeros(3), np.zeros(3), np.array([0, 2, 1]), 3)\n"
+            "try:\n    pool.validate(3)\nexcept ValueError as err:\n    print(err)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "weights must be binary"
 
 
 class TestNormConstEstimate:

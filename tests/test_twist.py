@@ -1,7 +1,7 @@
 """Twist objects: internal consistency of h, qh, and the twisted samplers."""
 
-import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,18 +21,14 @@ from alivetwist import (
     StochasticVolatilityParams,
     acceptance_prob_twist,
     constant_twist,
+    discrete_model,
     lg_model,
     lg_twist,
     random_positive_twist,
     sample_until_alive,
     sv_twist,
 )
-from alivetwist.twist import (
-    LOG_FLOOR,
-    DiscreteTableTwist,
-    _log_interval_mass,
-    _truncated_gaussian,
-)
+from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _log_interval_mass
 
 from helpers import stream_for
 
@@ -52,6 +48,21 @@ def _discrete_params():
 
 def _window(seed=230, size=6):
     return stream_for(seed).normal(size=size)
+
+
+def _rejection_pairs(twist, model, anchor, window, kernel, stream, draws):
+    """(states, pseudo_obs) of ``draws`` guided pairs, each the first accepted
+    candidate of sample_until_alive over propose_guided_states, as the alive
+    twisted filter draws them."""
+
+    def propose(stream, count):
+        states = twist.propose_guided_states(anchor, window, stream, count)
+        return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+
+    pairs = [sample_until_alive(propose, kernel, window[0], 1, 10**6, stream)[0]
+             for _ in range(draws)]
+    return (np.array([pool["states"][-1] for pool in pairs]),
+            np.array([pool["pseudo_obs"][-1] for pool in pairs]))
 
 
 class TestValidationAndTruncation:
@@ -209,9 +220,7 @@ class TestTwistedSamplers:
         total = weighted(lambda x: 1.0)
         mean = weighted(lambda x: x) / total
         var = weighted(lambda x: x * x) / total - mean**2
-        draws = twist.sample_twisted_transition(
-            np.full(30_000, anchor), window, stream_for(231)
-        )
+        draws = twist.propose_guided_states(anchor, window, stream_for(231), 30_000)
         assert abs(draws.mean() - mean) < 4 * math.sqrt(var / draws.size)
         pvalue = stats.kstest(draws, stats.norm(loc=mean, scale=math.sqrt(var)).cdf).pvalue
         assert pvalue > 1e-3
@@ -230,19 +239,9 @@ class TestTwistedSamplers:
         total = weighted(lambda x: 1.0)
         mean = weighted(lambda x: x) / total
         var = weighted(lambda x: x * x) / total - mean**2
-        draws = twist._sample_twisted_init_many(window, stream_for(232), 30_000)
+        draws = twist.propose_guided_states(None, window, stream_for(232), 30_000)
         pvalue = stats.kstest(draws, stats.norm(loc=mean, scale=math.sqrt(var)).cdf).pvalue
         assert pvalue > 1e-3
-
-    def test_propose_guided_states_matches_twisted_transition_law(self):
-        twist = _twist()
-        window = _window()
-        anchored = twist.propose_guided_states(0.7, window, stream_for(233), 20_000)
-        reference = twist.sample_twisted_transition(np.full(20_000, 0.7), window, stream_for(234))
-        assert stats.ks_2samp(anchored, reference).pvalue > 1e-3
-        from_init = twist.propose_guided_states(None, window, stream_for(235), 20_000)
-        reference_init = twist._sample_twisted_init_many(window, stream_for(236), 20_000)
-        assert stats.ks_2samp(from_init, reference_init).pvalue > 1e-3
 
 
 class TestIntervalMass:
@@ -274,33 +273,14 @@ class TestIntervalMass:
     def test_hopeless_interval_floors(self):
         got = float(_log_interval_mass(np.array([0.0]), 1.0, 40.0, 41.0)[0])
         assert got == LOG_FLOOR
+        # both log-CDFs underflow to -inf: still the floor, not NaN, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_interval_mass(np.array([0.0, 1.0]), 2.0, 1e200 - 1.5, 1e200 + 1.5)
+        np.testing.assert_array_equal(got, [LOG_FLOOR, LOG_FLOOR])
 
     def test_empty_input(self):
         assert _log_interval_mass(np.array([]), 1.0, -1.0, 1.0).size == 0
-
-
-class TestTruncatedGaussian:
-    def test_central_interval_distribution(self):
-        stream = stream_for(237)
-        draws = np.array([_truncated_gaussian(stream, 0.3, 2.25, -1.0, 0.5) for _ in range(4000)])
-        assert draws.min() >= -1.0 and draws.max() <= 0.5
-        a, b = (-1.0 - 0.3) / 1.5, (0.5 - 0.3) / 1.5
-        pvalue = stats.kstest(draws, stats.truncnorm(a, b, loc=0.3, scale=1.5).cdf).pvalue
-        assert pvalue > 1e-3
-
-    def test_far_tail_interval_distribution(self):
-        stream = stream_for(238)
-        draws = np.array([_truncated_gaussian(stream, 0.0, 1.0, 8.0, 8.3) for _ in range(3000)])
-        assert draws.min() >= 8.0 and draws.max() <= 8.3
-        pvalue = stats.kstest(draws, stats.truncnorm(8.0, 8.3).cdf).pvalue
-        assert pvalue > 1e-3
-
-    def test_left_tail_flip(self):
-        stream = stream_for(239)
-        draws = np.array([_truncated_gaussian(stream, 0.0, 1.0, -8.3, -8.0) for _ in range(3000)])
-        assert draws.min() >= -8.3 and draws.max() <= -8.0
-        pvalue = stats.kstest(draws, stats.truncnorm(-8.3, -8.0).cdf).pvalue
-        assert pvalue > 1e-3
 
 
 class TestGuidedPair:
@@ -312,48 +292,9 @@ class TestGuidedPair:
         kernel = AbcKernel(epsilon=0.6, mode="absolute")
         return model, twist, window, kernel
 
-    def test_exactness_report_follows_model_kind(self):
-        model, twist, _, _ = self._setup()
-        assert twist.guided_pair_is_exact(model)
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
-        assert not twist.guided_pair_is_exact(disguised)
-
-    def test_exact_path_costs_one_trial_and_lands_inside(self):
-        model, twist, window, kernel = self._setup()
-        lo, hi = kernel.interval(float(window[0]))
-        stream = stream_for(241)
-        for _ in range(50):
-            state, obs, trials = twist.sample_guided_pair(0.4, window, kernel, model, stream)
-            assert trials == 1
-            assert lo <= obs <= hi
-
-    def test_rejection_path_matches_exact_path_in_law(self):
-        """The conjugate closed form and the first accepted candidate from
-        sample_until_alive over propose_guided_states (the route the filter
-        takes when the pair is not exact) must draw the same law."""
-        model, twist, window, kernel = self._setup()
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
-        with pytest.raises(ValueError):
-            twist.sample_guided_pair(0.4, window, kernel, disguised, stream_for(242))
-        stream_a, stream_b = stream_for(242), stream_for(243)
-        exact = np.array([
-            twist.sample_guided_pair(0.4, window, kernel, model, stream_a)[:2]
-            for _ in range(3000)
-        ])
-
-        def propose(stream, count):
-            states = twist.propose_guided_states(0.4, window, stream, count)
-            return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
-
-        rejected = np.empty((3000, 2))
-        for row in rejected:
-            pool, _ = sample_until_alive(propose, kernel, window[0], 1, 10**6, stream_b)
-            row[:] = pool["states"][-1], pool["pseudo_obs"][-1]
-        assert stats.ks_2samp(exact[:, 0], rejected[:, 0]).pvalue > 1e-3
-        assert stats.ks_2samp(exact[:, 1], rejected[:, 1]).pvalue > 1e-3
-
     def test_exact_pair_matches_quadrature_moments(self):
-        """Against the f * h * acceptance joint computed by quadrature."""
+        """Rejection-drawn guided pairs against the f * h * acceptance joint
+        computed by quadrature."""
         model, twist, window, kernel = self._setup()
         lo, hi = kernel.interval(float(window[0]))
         sd = math.sqrt(twist.nu2)
@@ -370,11 +311,8 @@ class TestGuidedPair:
         total = weighted(lambda x: 1.0)
         mean = weighted(lambda x: x) / total
         var = weighted(lambda x: x * x) / total - mean**2
-        stream = stream_for(244)
-        states = np.array([
-            twist.sample_guided_pair(anchor, window, kernel, model, stream)[0]
-            for _ in range(4000)
-        ])
+        states, obs = _rejection_pairs(twist, model, anchor, window, kernel, stream_for(244), 4000)
+        assert np.all((lo <= obs) & (obs <= hi))
         assert abs(states.mean() - mean) < 4 * math.sqrt(var / states.size)
         assert abs(states.var() - var) < 0.05 * var
 
@@ -431,14 +369,13 @@ class TestDiscreteTableTwist:
         origin = 1
         law = params.transition[origin] * np.exp(table[0])
         law = law / law.sum()
-        draws = twist.sample_twisted_transition(
-            np.full(30_000, origin, dtype=np.int64), window, stream_for(249)
-        )
+        draws = twist.propose_guided_states(origin, window, stream_for(249), 30_000)
         for state, p in enumerate(law):
             observed = (draws == state).mean()
             assert abs(observed - p) < 4 * np.sqrt(p * (1 - p) / draws.size)
 
     def test_guided_pair_exact_frequencies(self):
+        """Rejection-drawn guided pairs against the exact lattice law."""
         params = self._params()
         twist = DiscreteTableTwist(stream_for(250).normal(size=(2, 3)), params)
         kernel = DiscreteBallKernel(params.acceptance)
@@ -447,19 +384,13 @@ class TestDiscreteTableTwist:
         masked_h = (params.emission @ mask) * twist._h[0]
         lattice = params.transition[0] * masked_h
         lattice = lattice / lattice.sum()
-        stream = stream_for(251)
-        draws = np.array([
-            twist.sample_guided_pair(0, window, kernel, None, stream)
-            for _ in range(20_000)
-        ])
-        assert np.all(draws[:, 2] == 1)  # exact draws cost one trial
-        assert set(np.unique(draws[:, 1])).issubset(set(np.flatnonzero(mask)))
+        states, symbols = _rejection_pairs(
+            twist, discrete_model(params), 0, window, kernel, stream_for(251), 20_000
+        )
+        assert set(np.unique(symbols)).issubset(set(np.flatnonzero(mask)))
         for state, p in enumerate(lattice):
-            observed = (draws[:, 0] == state).mean()
-            assert abs(observed - p) < 4 * np.sqrt(p * (1 - p) / draws.shape[0])
-
-    def test_guided_pair_is_always_exact(self):
-        assert constant_twist(2, self._params()).guided_pair_is_exact(None)
+            observed = (states == state).mean()
+            assert abs(observed - p) < 4 * np.sqrt(p * (1 - p) / states.size)
 
 
 class TestTwistFactories:

@@ -32,6 +32,7 @@ from alivetwist import (
 )
 from alivetwist.models import norm_logpdf
 from alivetwist.selftest import toy_discrete_instance
+from alivetwist.twist import DiscreteTableTwist, GaussianLookaheadTwist
 
 from helpers import (
     ScriptedStream,
@@ -41,6 +42,19 @@ from helpers import (
 )
 
 PARAMS = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+
+TWIST_HOOKS = (
+    "log_h", "log_qh", "log_init_qh", "log_qh_alive", "log_init_qh_alive",
+    "propose_guided_states",
+)
+
+
+class HooksOnly:
+    """Forwards exactly the twist protocol's six hooks and nothing else."""
+
+    def __init__(self, twist):
+        for name in TWIST_HOOKS:
+            setattr(self, name, getattr(twist, name))
 
 
 class TestGridOracle:
@@ -250,50 +264,27 @@ class TestAliveTwisted:
         ])
         assert monte_carlo_z(estimates, truth) < 3.0
 
-    def test_fused_batching_leaves_the_law_unchanged(self):
-        """Disguising the model forces the shared-batch rejection path; the
-        estimator must stay unbiased and match the exact path's distribution."""
-        model = lg_model(PARAMS)
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
-        kernel = AbcKernel(epsilon=1.0, mode="absolute")
-        twist = lg_twist(PARAMS, 2)
-        _, observations = simulate(model, 5, stream_for(275))
-        truth = math.exp(lg_abc_grid_log_marginal(PARAMS, observations, kernel))
-
-        def sample(which_model, base_stream_id, reps):
-            return np.array([
-                alive_twisted_filter(
-                    which_model, kernel, twist, observations, 20,
-                    stream=stream_for(base_stream_id, rep),
-                )[1].log_total
-                for rep in range(reps)
-            ])
-
-        fused = sample(disguised, 276, 1200)
-        exact = sample(model, 277, 1200)
-        assert monte_carlo_z(np.exp(fused), truth) < 3.0
-        assert stats.ks_2samp(fused, exact).pvalue > 1e-3
-
     def test_cap_errors_on_both_paths(self):
+        """A plain pool that cannot go alive reports the whole step: all
+        n_particles as the target, the filter's cap, and every proposal drawn
+        including the guided candidates in front of the pool."""
         model = lg_model(PARAMS)
         twist = lg_twist(PARAMS, 2)
         tight = AbcKernel(epsilon=1e-9, mode="absolute")
-        with pytest.raises(StoppingTimeCapError):
+        with pytest.raises(StoppingTimeCapError) as info:
             alive_twisted_filter(model, tight, twist, [50.0], 10, cap=300, stream=stream_for(278))
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
-        with pytest.raises(StoppingTimeCapError):
-            alive_twisted_filter(disguised, tight, twist, [50.0], 10, cap=300, stream=stream_for(279))
+        err = info.value
+        assert (err.step, err.drawn, err.accepted, err.target, err.cap) == (0, 300, 0, 10, 300)
 
     def test_unreachable_guided_pair_stops_within_the_cap(self):
         """The plain pool goes alive at y = 0, but lag 1 pulls every guided
         candidate toward the far next observation, so none is accepted: the
         step must raise the cap error having charged no more than the cap."""
         model = lg_model(PARAMS)
-        disguised = dataclasses.replace(model, metadata={"kind": "custom"})
         kernel = AbcKernel(epsilon=1.0, mode="absolute")
         with pytest.raises(StoppingTimeCapError) as info:
             alive_twisted_filter(
-                disguised, kernel, lg_twist(PARAMS, 1), [0.0, 1e6], 10, cap=5000,
+                model, kernel, lg_twist(PARAMS, 1), [0.0, 1e6], 10, cap=5000,
                 stream=stream_for(287),
             )
         err = info.value
@@ -357,3 +348,34 @@ class TestAliveTwistedDiscrete:
                 for rep in range(800)
             ])
             assert monte_carlo_z(estimates, truth) < 3.0, name
+
+
+class TestTwistProtocol:
+    def test_both_twist_classes_expose_exactly_the_six_hooks(self):
+        for cls in (GaussianLookaheadTwist, DiscreteTableTwist):
+            public = {
+                name for name in dir(cls)
+                if not name.startswith("_") and callable(getattr(cls, name))
+            }
+            assert public == set(TWIST_HOOKS), cls.__name__
+
+    def test_filters_need_only_the_six_hooks(self):
+        """A twist reduced to the six hooks gives bit-identical estimates."""
+        model = lg_model(PARAMS)
+        _, observations = simulate(model, 12, stream_for(288))
+        kernel = AbcKernel(epsilon=1.5, mode="relative")
+        twist = lg_twist(PARAMS, 3)
+        for run in (
+            lambda h, s: alive_twisted_filter(model, kernel, h, observations, 20, stream=s),
+            lambda h, s: twisted_bootstrap_filter(model, h, observations, 20, stream=s),
+        ):
+            assert (run(HooksOnly(twist), stream_for(289))[1].log_total
+                    == run(twist, stream_for(289))[1].log_total)
+        params, discrete, symbols = toy_discrete_instance(284)
+        table = random_positive_twist(symbols.size, params, stream_for(290), scale=0.7)
+        ball = DiscreteBallKernel(params.acceptance)
+        wrapped = alive_twisted_filter(
+            discrete, ball, HooksOnly(table), symbols, 15, stream=stream_for(291)
+        )
+        plain = alive_twisted_filter(discrete, ball, table, symbols, 15, stream=stream_for(291))
+        assert wrapped[1].log_total == plain[1].log_total
