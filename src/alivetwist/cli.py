@@ -7,7 +7,8 @@ model, and ``selftest`` runs the built-in health checks.
 
 Exit codes: 0 success, 1 usage/configuration/data error (including a
 non-finite observation), 2 selftest failure, 3 run aborted because a filter
-step exhausted its proposal cap or every bootstrap particle's weight vanished.
+step exhausted its proposal cap, every bootstrap particle's weight vanished,
+or no prior draw could start a PMMH chain.
 
 All CSV output is deterministic byte-for-byte for a given configuration and
 master seed (including under ``--workers``), using RFC-4180 CRLF rows and
@@ -39,7 +40,7 @@ from .configs import (
 )
 from .experiments import load_observations, load_returns, run_sv_pmmh, variance_grid
 from .models import simulate
-from .pmmh import acf
+from .pmmh import ChainStartError, acf
 from .rng import SeedSpec, derive_stream
 from .selftest import run_selftest
 from .smc import ParticleDeathError, StoppingTimeCapError
@@ -279,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # filters turn that into particle death or a cap error, reported below
         with np.errstate(over="ignore"):
             return handlers[args.command](args)
-    except (StoppingTimeCapError, ParticleDeathError) as err:
+    except (StoppingTimeCapError, ParticleDeathError, ChainStartError) as err:
         print(f"alivetwist: aborted: {err}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as err:

@@ -147,6 +147,17 @@ def parse_kernel(config: dict) -> AbcKernel:
         raise ConfigError(str(err)) from err
 
 
+def _check_filter_sizes(config) -> None:
+    """ConfigError unless ``config`` has n_particles >= 2, cap >= n_particles
+    and lag >= 0, the sizes every filter run needs."""
+    if config.n_particles < 2:
+        raise ConfigError(f"n_particles must be at least 2, got {config.n_particles}")
+    if config.cap < config.n_particles:
+        raise ConfigError("cap must be at least n_particles")
+    if config.lag < 0:
+        raise ConfigError(f"lag must be nonnegative, got {config.lag}")
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     n_particles: int
@@ -154,12 +165,7 @@ class FilterConfig:
     lag: int
 
     def __post_init__(self) -> None:
-        if self.n_particles < 2:
-            raise ConfigError(f"n_particles must be at least 2, got {self.n_particles}")
-        if self.cap < self.n_particles:
-            raise ConfigError("cap must be at least n_particles")
-        if self.lag < 0:
-            raise ConfigError(f"lag must be nonnegative, got {self.lag}")
+        _check_filter_sizes(self)
 
 
 def parse_filter(config: dict) -> FilterConfig:
@@ -193,6 +199,7 @@ class GridConfig:
             raise ConfigError("nu2_values and tau2_values must be nonempty")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
+        _check_filter_sizes(self)
 
 
 def parse_grid(config: dict) -> GridConfig:
@@ -243,6 +250,7 @@ class PmmhConfig:
             raise ConfigError("acf_max_lag must be positive")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps must be positive when given")
+        _check_filter_sizes(self)
 
     @property
     def burn_in(self) -> int:

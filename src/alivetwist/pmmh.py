@@ -25,6 +25,10 @@ from .rng import gaussian
 from .smc import BootstrapGeneration, ParticleGeneration, StoppingTimeCapError
 
 
+class ChainStartError(RuntimeError):
+    """Raised when no prior draw gives a filter run that stays within its cap."""
+
+
 # ---------------------------------------------------------------------------
 # autocorrelation diagnostic
 # ---------------------------------------------------------------------------
@@ -237,7 +241,8 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
     """Run the pseudo-marginal chain for ``iterations`` transitions.
 
     The initial parameter is drawn from the prior; prior draws whose filter
-    run exhausts the proposal cap are redrawn up to ``init_attempts`` times.
+    run exhausts the proposal cap are redrawn up to ``init_attempts`` times,
+    then ChainStartError is raised.
     Row 0 of the record is the initial state.
     """
     if iterations < 0:
@@ -256,7 +261,7 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         state = PmmhState(theta0, log_prior0, estimate.log_total, path0)
         break
     if state is None:
-        raise RuntimeError(f"no viable initial parameter found in {init_attempts} prior draws")
+        raise ChainStartError(f"no viable initial parameter found in {init_attempts} prior draws")
 
     thetas = [state.theta]
     log_zhats = [state.log_zhat]

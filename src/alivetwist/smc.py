@@ -145,7 +145,7 @@ def checked_observations(observations, dtype=None) -> np.ndarray:
     return observations
 
 
-def _batch_schedule(target: int, cap: int, batch_hint: Optional[int]):
+def _batch_schedule(target: int, batch_hint: Optional[int]):
     """Deterministic proposal batch sizes: start near the expected need, then double."""
     size = max(target, batch_hint) if batch_hint else max(2 * target, 64)
     while True:
@@ -174,7 +174,7 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
     chunks: List[dict] = []
     drawn = 0
     accepted = 0
-    schedule = _batch_schedule(target, cap, batch_hint)
+    schedule = _batch_schedule(target, batch_hint)
     while True:
         size = min(next(schedule), cap - drawn)
         if size <= 0:

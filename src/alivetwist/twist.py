@@ -8,19 +8,21 @@ one transition — and its new state is drawn from the transition density
 reweighted by h.  All other slots behave exactly as in the untwisted filter,
 and a uniformly placed index records where the guided particle sits.
 
-Any object with these six hooks works as a twist (log domain throughout):
+Any object with these four hooks works as a twist (log domain throughout):
 
-* ``log_h(y_window, k)`` and ``log_qh(y_window, k)`` — elementwise over a
-  state array ``k``, where ``y_window = observations[t:]`` so the current
-  step's observation is ``y_window[0]``;
-* ``log_init_qh(y_window)`` — log of E[h(K_1)] under the initial draw plus
-  one transition;
-* ``log_qh_alive(y_window, k, kernel)`` and
-  ``log_init_qh_alive(y_window, kernel)`` — the acceptance-augmented masses
-  of the alive filter (below);
-* ``propose_guided_states(k_anc, y_window, stream, count)`` — ``count`` iid
-  states from the transition out of the ancestor state ``k_anc`` reweighted
-  by h, or from the h-reweighted initial step when ``k_anc`` is None.
+* ``log_h(y_window, k)`` — elementwise over a state array ``k``, where
+  ``y_window = observations[t:]`` so the current step's observation is
+  ``y_window[0]``;
+* ``log_qh(y_window, k)`` — log of E[h(K_next) | k], elementwise;
+* ``log_qh_alive(y_window, k, kernel)`` — the acceptance-augmented mass of
+  the alive filter (below);
+* ``propose_guided_states(k, y_window, stream, count)`` — ``count`` iid
+  next states out of the ancestor state ``k``, reweighted by h.
+
+The first step is one more transition, out of a fictitious time-0 state
+(Whiteley & Lee, arXiv:1210.0220): passing ``k = None`` to ``log_qh``,
+``log_qh_alive`` or ``propose_guided_states`` means the next state is the
+initial draw plus one transition, and the masses come back 0-d.
 
 The evaluation hooks must be mutually consistent (qh really is the
 transition integral of h); that consistency is what keeps the reweighted
@@ -40,7 +42,7 @@ product is still a twist — just one defined on the state *and* its simulated
 pseudo-observation — so the same change-of-measure algebra applies:
 ``log_qh_alive`` is log E[W * h] through one transition plus one
 simulation, where W is the kernel's binary weight for the current
-observation, and ``log_init_qh_alive`` the same mass from the initial law.
+observation.
 The guided (state, pseudo-observation) pair is drawn from the h-reweighted
 transition *conditioned on acceptance* by rejection: the first
 ``propose_guided_states`` candidate whose simulated observation the kernel
@@ -58,7 +60,7 @@ ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -134,11 +136,7 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     lb = np.maximum(log_ndtr(np.where(flip, -a, b)), LOG_FLOOR)
     d = np.exp(np.minimum(la - lb, 0.0))
     degenerate = d >= 1.0  # equal log-CDFs: the mass is below the floor
-    if degenerate.any():
-        out = lb + np.log1p(-np.where(degenerate, 0.5, d))
-        out[degenerate] = LOG_FLOOR
-    else:
-        out = lb + np.log1p(-d)
+    out = np.where(degenerate, LOG_FLOOR, lb + np.log1p(-np.where(degenerate, 0.5, d)))
     return np.maximum(out, LOG_FLOOR)
 
 
@@ -163,7 +161,6 @@ class GaussianLookaheadTwist:
     nu2: float
     obs_var: float
     lag: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.nu2 <= 0:
@@ -195,89 +192,48 @@ class GaussianLookaheadTwist:
         target = float(y_window[lag])
         return _clamped_log(norm_logpdf(target, self.phi**lag * k, self._predictive_var(lag)))
 
+    def _next_state_law(self, k):
+        """Mean and variance of the next state: one transition out of ``k``, or
+        the initial draw plus one transition when ``k`` is None."""
+        if k is None:
+            return np.zeros(()), (1.0 + self.phi**2) * self.nu2
+        return self.phi * np.asarray(k, dtype=float), self.nu2
+
     def log_qh(self, y_window, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
+        mean, var = self._next_state_law(k)
         lag = self._effective_lag(y_window)
         if lag == 0:
-            return np.zeros(k.shape)
-        target = float(y_window[lag])
-        return _clamped_log(
-            norm_logpdf(target, self.phi ** (lag + 1) * k, self._predictive_var(lag + 1))
-        )
+            return np.zeros(mean.shape)
+        scale = self.phi**lag
+        return _clamped_log(norm_logpdf(
+            float(y_window[lag]), scale * mean, self._predictive_var(lag) + scale**2 * var
+        ))
 
-    def log_init_qh(self, y_window) -> float:
+    def _twisted_moments(self, y_window, k):
+        """Mean array and shared variance of the next-state law reweighted by h."""
+        mean, var = self._next_state_law(k)
         lag = self._effective_lag(y_window)
         if lag == 0:
-            return 0.0
-        target = float(y_window[lag])
-        # marginal of the state after init + one transition is N(0, (1 + phi^2) nu2)
-        var = self._predictive_var(lag) + self.phi ** (2 * lag) * (1.0 + self.phi**2) * self.nu2
-        return float(_clamped_log(norm_logpdf(target, 0.0, var)))
-
-    def _twisted_transition_moments(self, y_window, k):
-        """Mean array and shared variance of the h-reweighted transition."""
-        k = np.asarray(k, dtype=float)
-        lag = self._effective_lag(y_window)
-        if lag == 0:
-            return self.phi * k, self.nu2
-        target = float(y_window[lag])
+            return mean, var
+        scale = self.phi**lag
         s2 = self._predictive_var(lag)
-        var = 1.0 / (1.0 / self.nu2 + self.phi ** (2 * lag) / s2)
-        slope = var * self.phi / self.nu2
-        offset = var * self.phi**lag * target / s2
-        return slope * k + offset, var
-
-    def _twisted_init_moments(self, y_window):
-        """Mean and variance of the post-transition state under init * f * h."""
-        lag = self._effective_lag(y_window)
-        marginal_var = (1.0 + self.phi**2) * self.nu2
-        if lag == 0:
-            return 0.0, marginal_var
-        target = float(y_window[lag])
-        s2 = self._predictive_var(lag)
-        precision = 1.0 / marginal_var + self.phi ** (2 * lag) / s2
-        mean = (self.phi**lag * target / s2) / precision
-        return mean, 1.0 / precision
+        post_var = 1.0 / (1.0 / var + scale**2 / s2)
+        return (post_var / var) * mean + post_var * scale * float(y_window[lag]) / s2, post_var
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
-        """``count`` iid states from the h-reweighted transition out of ``k_anc``.
+        """``count`` iid next states out of ``k_anc`` (None: the initial draw
+        plus one transition), reweighted by h."""
+        mean, var = self._twisted_moments(y_window, k_anc)
+        return float(mean) + math.sqrt(var) * stream.standard_normal(count)
 
-        ``k_anc`` None means the h-reweighted initial step: tilt the initial
-        state by qh, then the transition by h, so the joint is exactly the
-        initial law reweighted by h of the post-transition state.
-        """
-        if k_anc is None:
-            lag = self._effective_lag(y_window)
-            if lag == 0:
-                k0 = np.sqrt(self.nu2) * stream.standard_normal(count)
-            else:
-                target = float(y_window[lag])
-                qh_var = self._predictive_var(lag + 1)
-                precision0 = 1.0 / self.nu2 + self.phi ** (2 * (lag + 1)) / qh_var
-                mean0 = (self.phi ** (lag + 1) * target / qh_var) / precision0
-                k0 = mean0 + np.sqrt(1.0 / precision0) * stream.standard_normal(count)
-            mean, var = self._twisted_transition_moments(y_window, k0)
-            return mean + np.sqrt(var) * stream.standard_normal(count)
-        mean_arr, var = self._twisted_transition_moments(
-            y_window, np.asarray([k_anc], dtype=float)
-        )
-        return float(mean_arr[0]) + math.sqrt(var) * stream.standard_normal(count)
-
-    # -- acceptance-augmented hooks for the alive twisted filter ------------
+    # -- acceptance-augmented hook for the alive twisted filter -------------
 
     def log_qh_alive(self, y_window, k, kernel) -> np.ndarray:
-        """log E[W * h] through one transition plus one simulation from k."""
+        """log E[W * h] over the next state out of ``k`` plus one simulation."""
         lo, hi = kernel.interval(float(y_window[0]))
-        mean, var = self._twisted_transition_moments(y_window, k)
+        mean, var = self._twisted_moments(y_window, k)
         mass = _log_interval_mass(mean, var + self.obs_var, lo, hi)
         return np.maximum(self.log_qh(y_window, k) + mass, LOG_FLOOR)
-
-    def log_init_qh_alive(self, y_window, kernel) -> float:
-        """log E[W * h] from the initial law plus one transition."""
-        lo, hi = kernel.interval(float(y_window[0]))
-        mean, var = self._twisted_init_moments(y_window)
-        mass = float(_log_interval_mass(np.array([mean]), var + self.obs_var, lo, hi)[0])
-        return max(self.log_init_qh(y_window) + mass, LOG_FLOOR)
 
 
 def lg_twist(params, lag: int) -> GaussianLookaheadTwist:
@@ -297,14 +253,7 @@ def sv_twist(params, lag: int) -> GaussianLookaheadTwist:
     estimate the model's own ABC marginal: it measured about 7% low in Ẑ
     over 20 steps.
     """
-    surrogate_var = 2.0 * params.gamma**2
-    return GaussianLookaheadTwist(
-        params.F,
-        params.nu2,
-        surrogate_var,
-        lag,
-        metadata={"surrogate_obs_var": surrogate_var, "reference_log_vol": 0.0},
-    )
+    return GaussianLookaheadTwist(params.F, params.nu2, 2.0 * params.gamma**2, lag)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +283,6 @@ class DiscreteTableTwist:
             raise DegenerateTwistError("twist table must be finite")
         self.log_h_table = table
         self._h = np.exp(table)
-        self._qh = self._h @ self.params.transition.T  # qh[t, k] = sum_j P(k -> j) h[t, j]
-        init_marginal = self.params.initial @ self.params.transition
-        self._init_qh = float(init_marginal @ self._h[0])
 
     @property
     def steps(self) -> int:
@@ -348,48 +294,38 @@ class DiscreteTableTwist:
             raise ValueError("observation window does not match the twist table")
         return t
 
+    def _next_state_law(self, t: int, k) -> np.ndarray:
+        """Next-state probabilities: the rows ``transition[k]``, or the initial
+        draw plus one transition when ``k`` is None (step 0 only)."""
+        if k is None:
+            if t != 0:
+                raise ValueError("the initial law only applies at the first step")
+            return self.params.initial @ self.params.transition
+        return self.params.transition[np.asarray(k, dtype=np.int64)]
+
     def log_h(self, y_window, k) -> np.ndarray:
         return self.log_h_table[self._step(y_window), np.asarray(k, dtype=np.int64)]
 
     def log_qh(self, y_window, k) -> np.ndarray:
-        return np.log(self._qh[self._step(y_window), np.asarray(k, dtype=np.int64)])
-
-    def log_init_qh(self, y_window) -> float:
-        if self._step(y_window) != 0:
-            raise ValueError("initial twist mass only applies at the first step")
-        return float(np.log(self._init_qh))
+        t = self._step(y_window)
+        return np.log(self._next_state_law(t, k) @ self._h[t])
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
-        """``count`` iid states from the h-reweighted transition out of ``k_anc``,
-        or from the h-reweighted initial step when ``k_anc`` is None."""
+        """``count`` iid next states out of ``k_anc`` (None: the initial draw
+        plus one transition), reweighted by h."""
         t = self._step(y_window)
-        if k_anc is None:
-            if t != 0:
-                raise ValueError("initial twist draw only applies at the first step")
-            law = (self.params.initial @ self.params.transition) * self._h[0]
-        else:
-            law = self.params.transition[int(k_anc)] * self._h[t]
-        return categorical_many(stream, law, count)
+        return categorical_many(stream, self._next_state_law(t, k_anc) * self._h[t], count)
 
-    # -- acceptance-augmented hooks for the alive twisted filter ------------
-
-    def _masked_h(self, y_window, kernel) -> np.ndarray:
-        """Per-state h times the exact probability of an accepted simulation."""
-        mask = kernel.accept_mask(int(np.asarray(y_window)[0])).astype(float)
-        mass = self.params.emission @ mask
-        return mass * self._h[self._step(y_window)]
+    # -- acceptance-augmented hook for the alive twisted filter -------------
 
     def log_qh_alive(self, y_window, k, kernel) -> np.ndarray:
-        values = self.params.transition @ self._masked_h(y_window, kernel)
-        k = np.asarray(k, dtype=np.int64)
-        return np.log(np.maximum(values[k], np.exp(LOG_FLOOR)))
-
-    def log_init_qh_alive(self, y_window, kernel) -> float:
-        if self._step(y_window) != 0:
-            raise ValueError("initial twist mass only applies at the first step")
-        init_marginal = self.params.initial @ self.params.transition
-        value = float(init_marginal @ self._masked_h(y_window, kernel))
-        return float(np.log(max(value, np.exp(LOG_FLOOR))))
+        """log of the next state's h times its exact acceptance probability,
+        averaged over the next-state law."""
+        t = self._step(y_window)
+        mask = kernel.accept_mask(int(np.asarray(y_window)[0])).astype(float)
+        accept = self.params.emission @ mask
+        values = self._next_state_law(t, k) @ (accept * self._h[t])
+        return np.log(np.maximum(values, np.exp(LOG_FLOOR)))
 
 
 def constant_twist(steps: int, params: DiscreteHmmParams) -> DiscreteTableTwist:
@@ -438,6 +374,9 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     the h-reweighted transition, then all other slots exactly as in the
     bootstrap filter.  The step factor is the pool's mean observation
     likelihood times (previous weighted mean of qh) / (current mean of h).
+    The first step has no previous pool: the twist is asked with ancestor
+    None, so the guided state and the qh mean come from the initial draw
+    plus one transition.
     """
     if stream is None:
         raise ValueError("an explicit random stream is required")
@@ -458,7 +397,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
         slot = uniform_index(stream, n_particles)
         if prev is None:
             guided = twist.propose_guided_states(None, y_window, stream, 1)
-            log_qh_sum = float(twist.log_init_qh(y_window))
+            log_qh_sum = float(twist.log_qh(y_window, None))
             others = model.transition_sampler(
                 model.init_state_sampler(stream, n_particles - 1), stream
             )
@@ -545,12 +484,14 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     left of the cap.  Guided candidates up to the accepted one plus plain
     proposals up to the stopping position never exceed the cap; a step that
     cannot go alive within it raises StoppingTimeCapError with the step's
-    own accounting (target n_particles, the filter's cap).
+    own accounting (target n_particles, the filter's cap).  A cap below
+    n_particles is a bad argument (ValueError), as in alive_filter.
 
     The step factor is the previous pool's accepted-particle sum of qh_alive
     over the current pool's accepted-particle sum of h (first T - 1 slots
-    both); at the first step the numerator is (n_particles - 1) times the
-    initial qh_alive mass.  With a constant twist the factor collapses to
+    both); at the first step the twist is asked with ancestor None (the
+    initial draw plus one transition), and the numerator is (n_particles - 1)
+    times that qh_alive mass.  With a constant twist the factor collapses to
     the accepted pool's mean one-step acceptance mass — same expectation as
     the plain alive ratio (n_particles - 1) / (T - 1), with the stopping
     time integrated out.
@@ -559,6 +500,8 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
         raise ValueError("an explicit random stream is required")
     if n_particles < 2:
         raise ValueError(f"need at least 2 particles, got {n_particles}")
+    if cap < n_particles:
+        raise ValueError(f"cap {cap} cannot be below the acceptance target {n_particles}")
     observations = checked_observations(observations)
 
     generations: List[ParticleGeneration] = []
@@ -566,8 +509,6 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     batch_hint = None
     prev: Optional[ParticleGeneration] = None
     accepted_idx = accepted_states = None  # prev's weight-1 slots in its first T - 1
-    if cap < n_particles - 1:
-        raise StoppingTimeCapError(0, 0, 0, n_particles, cap)
     reserved = min(GUIDED_PREFIX, cap - n_particles + 1)
 
     for t in range(observations.size):
@@ -577,7 +518,7 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             guided_anchor = None
             guided_ancestor = None
             log_numerator = math.log(n_particles - 1) + float(
-                twist.log_init_qh_alive(y_window, kernel)
+                twist.log_qh_alive(y_window, None, kernel)
             )
 
             def propose_latents(stream, count):

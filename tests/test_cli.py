@@ -44,6 +44,10 @@ def _write_json(tmp_path, name, payload):
     return str(path)
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("a run started despite a bad configuration")
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -230,20 +234,20 @@ class TestFilter:
 
 
 class TestVarianceGrid:
-    def _config(self, tmp_path):
-        return _write_json(tmp_path, "grid.json", {
-            "grid": {
-                "phi": 0.9,
-                "nu2_values": [1.0],
-                "tau2_values": [1.0],
-                "replicates": 3,
-                "steps": 4,
-                "n_particles": 10,
-                "epsilon": 2.0,
-                "lag": 2,
-                "mode": "absolute",
-            }
-        })
+    def _config(self, tmp_path, **overrides):
+        section = {
+            "phi": 0.9,
+            "nu2_values": [1.0],
+            "tau2_values": [1.0],
+            "replicates": 3,
+            "steps": 4,
+            "n_particles": 10,
+            "epsilon": 2.0,
+            "lag": 2,
+            "mode": "absolute",
+        }
+        section.update(overrides)
+        return _write_json(tmp_path, "grid.json", {"grid": section})
 
     def test_rows_and_diff_column(self, tmp_path):
         out = str(tmp_path / "grid.csv")
@@ -270,6 +274,18 @@ class TestVarianceGrid:
         assert cli.main(["variance-grid", "--config", self._config(tmp_path),
                          "--workers", "0", "--out", str(tmp_path / "x.csv")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_particles": 1}, "n_particles must be at least 2"),
+        ({"cap": 9}, "cap must be at least n_particles"),
+        ({"lag": -1}, "lag must be nonnegative"),
+    ])
+    def test_bad_filter_sizes_exit_1_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                     overrides, message):
+        monkeypatch.setattr(cli, "variance_grid", _never_called)
+        assert cli.main(["variance-grid", "--config", self._config(tmp_path, **overrides),
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"alivetwist: error: {message}")
 
 
 class TestPmmh:
@@ -344,6 +360,29 @@ class TestPmmh:
                          "--seed", "13", "--out-dir", str(out_dir)]) == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["steps"] == 9
+
+    @pytest.mark.parametrize("algo", ["alive", "alive-twisted"])
+    def test_cap_below_n_particles_exits_1_before_any_run(self, tmp_path, sv_config, monkeypatch,
+                                                          capsys, algo):
+        data = self._data(tmp_path, sv_config)
+        monkeypatch.setattr(cli, "run_sv_pmmh", _never_called)
+        config = self._config(tmp_path, n_particles=20, cap=15)
+        assert cli.main(["pmmh", "--algo", algo, "--config", config, "--data", data,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "alivetwist: error: cap must be at least n_particles\n"
+
+    def test_chain_that_cannot_start_aborts_with_exit_3(self, tmp_path, sv_config, capsys):
+        """Every prior draw caps out at an unreachable tolerance: the chain
+        cannot start, and the CLI says so without a traceback."""
+        record = str(tmp_path / "sv30.csv")
+        assert cli.main(["simulate", "--config", sv_config, "--steps", "30",
+                         "--seed", "21", "--out", record]) == 0
+        config = self._config(tmp_path, epsilon=1e-12, mode="absolute", cap=2000)
+        assert cli.main(["pmmh", "--algo", "alive", "--config", config, "--data", record,
+                         "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("alivetwist: aborted: no viable initial parameter")
+        assert "Traceback" not in err
 
     def test_rerun_is_byte_identical(self, tmp_path, sv_config):
         data = self._data(tmp_path, sv_config)

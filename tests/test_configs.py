@@ -90,9 +90,9 @@ class TestParseModel:
 
     def test_build_twist(self):
         lg = build_twist(LinearGaussianParams(0.9, 1.0, 1.0), 3)
-        assert (lg.obs_var, lg.lag, lg.metadata) == (1.0, 3, {})
+        assert (lg.obs_var, lg.lag) == (1.0, 3)
         sv = build_twist(StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5), 2)
-        assert sv.obs_var == 2 * 0.5**2 and "surrogate_obs_var" in sv.metadata
+        assert sv.obs_var == 2 * 0.5**2
         with pytest.raises(ConfigError):
             build_twist(object(), 1)
 
@@ -192,6 +192,9 @@ class TestParseGrid:
             {"replicates": 1},
             {"steps": 0},
             {"n_particles": 7.3},
+            {"n_particles": 1},
+            {"cap": 19},
+            {"lag": -1},
         ],
     )
     def test_validation(self, overrides):
@@ -232,6 +235,9 @@ class TestParsePmmh:
             {"burn_in_fraction": -0.1},
             {"acf_max_lag": 0},
             {"steps": 0},
+            {"n_particles": 1},
+            {"cap": 49},
+            {"lag": -1},
         ],
     )
     def test_validation(self, overrides):

@@ -90,15 +90,15 @@ class TestNormConstEstimate:
 
 class TestBatchSchedule:
     def test_hint_then_doubling(self):
-        schedule = _batch_schedule(target=10, cap=10**6, batch_hint=25)
+        schedule = _batch_schedule(target=10, batch_hint=25)
         assert [next(schedule) for _ in range(4)] == [25, 50, 100, 200]
 
     def test_no_hint_starts_at_twice_target_or_64(self):
-        assert next(_batch_schedule(10, 10**6, None)) == 64
-        assert next(_batch_schedule(100, 10**6, None)) == 200
+        assert next(_batch_schedule(10, None)) == 64
+        assert next(_batch_schedule(100, None)) == 200
 
     def test_sizes_never_exceed_max_batch(self):
-        schedule = _batch_schedule(10, 10**9, 1 << 17)
+        schedule = _batch_schedule(10, 1 << 17)
         sizes = [next(schedule) for _ in range(6)]
         assert max(sizes) == 1 << 18
 

@@ -88,7 +88,7 @@ class TestValidationAndTruncation:
         k = np.array([0.4, -1.0, 2.0])
         np.testing.assert_array_equal(twist.log_h(_window()[:1], k), np.zeros(3))
         np.testing.assert_array_equal(twist.log_qh(_window()[:1], k), np.zeros(3))
-        assert twist.log_init_qh(_window()[:1]) == 0.0
+        assert twist.log_qh(_window()[:1], None) == 0.0
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,6 @@ class TestValidationAndTruncation:
         )
         assert (sv.phi, sv.nu2, sv.lag) == (0.5, 0.01, 5)
         assert sv.obs_var == pytest.approx(2.0 * 0.5**2)
-        assert sv.metadata["surrogate_obs_var"] == sv.obs_var
 
 
 class TestGaussianConsistency:
@@ -136,7 +135,7 @@ class TestGaussianConsistency:
             return stats.norm.pdf(x, scale=marginal_sd) * math.exp(h)
 
         integral, _ = quad(integrand, -12, 12, limit=200)
-        assert math.exp(twist.log_init_qh(window)) == pytest.approx(integral, rel=1e-8)
+        assert math.exp(twist.log_qh(window, None)) == pytest.approx(integral, rel=1e-8)
 
     def test_qh_alive_is_acceptance_weighted_integral(self):
         """qh_alive integrates h times the probability that a simulated
@@ -171,7 +170,7 @@ class TestGaussianConsistency:
             return stats.norm.pdf(x, scale=marginal_sd) * h * accept
 
         integral, _ = quad(integrand, -12, 12, limit=200)
-        ours = math.exp(twist.log_init_qh_alive(window, kernel))
+        ours = math.exp(twist.log_qh_alive(window, None, kernel))
         assert ours == pytest.approx(integral, rel=1e-8)
 
     @settings(max_examples=40, deadline=None)
@@ -192,7 +191,7 @@ class TestGaussianConsistency:
         plain = twist.log_qh(window, k)
         alive = twist.log_qh_alive(window, k, kernel)
         assert np.all(alive <= plain + 1e-12)
-        assert twist.log_init_qh_alive(window, kernel) <= twist.log_init_qh(window) + 1e-12
+        assert twist.log_qh_alive(window, None, kernel) <= twist.log_qh(window, None) + 1e-12
 
     def test_wider_interval_never_decreases_alive_mass(self):
         twist = _twist()
@@ -282,6 +281,13 @@ class TestIntervalMass:
     def test_empty_input(self):
         assert _log_interval_mass(np.array([]), 1.0, -1.0, 1.0).size == 0
 
+    @pytest.mark.parametrize("lo, hi", [(-0.5, 1.2), (10.0, 11.0), (30.0, 30.0)])
+    def test_scalar_mean_matches_array_mean(self, lo, hi):
+        """A 0-d mean (the initial step's) takes every branch like a 1-element array."""
+        got = _log_interval_mass(np.zeros(()), 1.0, lo, hi)
+        assert np.ndim(got) == 0
+        assert float(got) == float(_log_interval_mass(np.zeros(1), 1.0, lo, hi)[0])
+
 
 class TestGuidedPair:
     def _setup(self):
@@ -337,14 +343,18 @@ class TestDiscreteTableTwist:
         want = np.log(params.transition @ np.exp(table[0]))[k]
         np.testing.assert_allclose(twist.log_qh(window, k), want, rtol=1e-12)
         want_init = float(np.log((params.initial @ params.transition) @ np.exp(table[0])))
-        assert twist.log_init_qh(window) == pytest.approx(want_init, rel=1e-12)
+        assert twist.log_qh(window, None) == pytest.approx(want_init, rel=1e-12)
 
     def test_window_length_must_match_table(self):
         twist = constant_twist(3, self._params())
         with pytest.raises(ValueError):
             twist.log_h(np.arange(5), np.array([0]))
         with pytest.raises(ValueError):
-            twist.log_init_qh(np.arange(2))  # not the first step
+            twist.log_qh(np.arange(2), None)  # not the first step
+        with pytest.raises(ValueError):
+            twist.log_qh_alive(np.arange(2), None, DiscreteBallKernel(twist.params.acceptance))
+        with pytest.raises(ValueError):
+            twist.propose_guided_states(None, np.arange(2), stream_for(253), 1)
 
     def test_qh_alive_is_exact_masked_average(self):
         params = self._params()
@@ -359,7 +369,7 @@ class TestDiscreteTableTwist:
             twist.log_qh_alive(window, np.array([0, 1, 2]), kernel), want, rtol=1e-12
         )
         want_init = float(np.log((params.initial @ params.transition) @ masked_h))
-        assert twist.log_init_qh_alive(window, kernel) == pytest.approx(want_init, rel=1e-12)
+        assert twist.log_qh_alive(window, None, kernel) == pytest.approx(want_init, rel=1e-12)
 
     def test_twisted_transition_frequencies(self):
         params = self._params()

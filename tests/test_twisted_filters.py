@@ -43,14 +43,11 @@ from helpers import (
 
 PARAMS = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
 
-TWIST_HOOKS = (
-    "log_h", "log_qh", "log_init_qh", "log_qh_alive", "log_init_qh_alive",
-    "propose_guided_states",
-)
+TWIST_HOOKS = ("log_h", "log_qh", "log_qh_alive", "propose_guided_states")
 
 
 class HooksOnly:
-    """Forwards exactly the twist protocol's six hooks and nothing else."""
+    """Forwards exactly the twist protocol's four hooks and nothing else."""
 
     def __init__(self, twist):
         for name in TWIST_HOOKS:
@@ -105,16 +102,21 @@ class TestTwistedBootstrap:
             twisted_bootstrap_filter(silent, twist, [0.0], 10, stream=stream_for(0))
 
     def test_hand_traced_single_step(self):
-        """Two particles, one step, every random draw scripted by hand."""
+        """Two particles, one step, every random draw scripted by hand.
+
+        The guided state is one draw from the initial draw plus one
+        transition, N(0, (1 + phi^2) nu2), untwisted at lag 0; the other slot
+        takes an initial draw and then a transition."""
         model = lg_model(PARAMS)
         twist = lg_twist(PARAMS, 0)  # constant twist: guided slot is untwisted
         y = 0.5
-        a, b, c, d = 0.3, -0.7, 1.1, 0.2
-        stream = ScriptedStream(integers=[1], normals=[a, b, c, d])
+        a, b, c = 0.3, -0.7, 1.1
+        stream = ScriptedStream(integers=[1], normals=[a, b, c])
         generations, estimate = twisted_bootstrap_filter(model, twist, [y], 2, stream=stream)
         assert stream.exhausted()
-        guided = PARAMS.phi * a + b
-        other = PARAMS.phi * c + d
+        sd = math.sqrt(PARAMS.nu2)
+        guided = math.sqrt((1.0 + PARAMS.phi**2) * PARAMS.nu2) * a
+        other = PARAMS.phi * sd * b + sd * c
         generation = generations[0]
         assert generation.twisted_index == 1
         np.testing.assert_allclose(generation.states, [other, guided], rtol=1e-15)
@@ -222,7 +224,7 @@ class TestAliveTwisted:
             assert generation.log_wh_sum == pytest.approx(want_wh, abs=1e-10)
             # the recorded numerator is the alive-qh sum over the previous one
             if t == 0:
-                want_qh = math.log(n - 1) + twist.log_init_qh_alive(window, kernel)
+                want_qh = math.log(n - 1) + float(twist.log_qh_alive(window, None, kernel))
             else:
                 want_qh = float(
                     logsumexp(twist.log_qh_alive(window, prev_accepted, kernel))
@@ -275,6 +277,19 @@ class TestAliveTwisted:
             alive_twisted_filter(model, tight, twist, [50.0], 10, cap=300, stream=stream_for(278))
         err = info.value
         assert (err.step, err.drawn, err.accepted, err.target, err.cap) == (0, 300, 0, 10, 300)
+
+    @pytest.mark.parametrize("cap", [8, 9])
+    def test_cap_below_target_is_a_bad_argument(self, cap):
+        """Both alive filters refuse a cap below n_particles up front, with
+        the same message, before drawing anything."""
+        model = lg_model(PARAMS)
+        kernel = AbcKernel(epsilon=1e12, mode="absolute")
+        twist = lg_twist(PARAMS, 0)
+        message = f"^cap {cap} cannot be below the acceptance target 10$"
+        with pytest.raises(ValueError, match=message):
+            alive_filter(model, kernel, [0.0], 10, cap=cap, stream=ScriptedStream())
+        with pytest.raises(ValueError, match=message):
+            alive_twisted_filter(model, kernel, twist, [0.0], 10, cap=cap, stream=ScriptedStream())
 
     def test_unreachable_guided_pair_stops_within_the_cap(self):
         """The plain pool goes alive at y = 0, but lag 1 pulls every guided
@@ -351,7 +366,7 @@ class TestAliveTwistedDiscrete:
 
 
 class TestTwistProtocol:
-    def test_both_twist_classes_expose_exactly_the_six_hooks(self):
+    def test_both_twist_classes_expose_exactly_the_four_hooks(self):
         for cls in (GaussianLookaheadTwist, DiscreteTableTwist):
             public = {
                 name for name in dir(cls)
@@ -359,8 +374,8 @@ class TestTwistProtocol:
             }
             assert public == set(TWIST_HOOKS), cls.__name__
 
-    def test_filters_need_only_the_six_hooks(self):
-        """A twist reduced to the six hooks gives bit-identical estimates."""
+    def test_filters_need_only_the_four_hooks(self):
+        """A twist reduced to the four hooks gives bit-identical estimates."""
         model = lg_model(PARAMS)
         _, observations = simulate(model, 12, stream_for(288))
         kernel = AbcKernel(epsilon=1.5, mode="relative")
