@@ -37,6 +37,7 @@ from .configs import (
     parse_kernel,
     parse_model,
     parse_pmmh,
+    parse_simulate_steps,
 )
 from .experiments import load_observations, load_returns, run_sv_pmmh, variance_grid
 from .models import simulate
@@ -121,10 +122,8 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     model = build_model(parse_model(config))
-    steps = args.steps
-    if steps is None:
-        steps = config.get("simulate", {}).get("steps")
-    if not isinstance(steps, int) or steps < 1:
+    steps = parse_simulate_steps(config) if args.steps is None else args.steps
+    if steps is None or steps < 1:
         raise ConfigError("provide a positive --steps or a 'simulate.steps' config key")
     stream = derive_stream(SeedSpec(args.seed, 0))
     latents, observations = simulate(model, steps, stream)

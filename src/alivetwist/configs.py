@@ -8,6 +8,7 @@ can fail with a usage error instead of a traceback.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -51,8 +52,8 @@ def _number(section: dict, key: str, default=None, required: bool = False) -> Op
             raise ConfigError(f"missing required key '{key}'")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -63,6 +64,13 @@ def _integer(section: dict, key: str, default=None, required: bool = False) -> O
     if value != int(value):
         raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
     return int(value)
+
+
+def parse_simulate_steps(config: dict) -> Optional[int]:
+    """'simulate.steps', or None when the config has no 'simulate' section."""
+    if "simulate" not in config:
+        return None
+    return _integer(_section(config, "simulate"), "steps")
 
 
 def parse_model(config: dict):
@@ -207,9 +215,9 @@ def parse_grid(config: dict) -> GridConfig:
     for key in ("nu2_values", "tau2_values"):
         values = section.get(key)
         if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in values
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf for v in values
         ):
-            raise ConfigError(f"key '{key}' must be a list of positive numbers")
+            raise ConfigError(f"key '{key}' must be a list of positive finite numbers")
     return GridConfig(
         phi=_number(section, "phi", required=True),
         nu2_values=[float(v) for v in section["nu2_values"]],

@@ -230,28 +230,15 @@ def sv_filter_runner(observations, config: PmmhConfig, algo: str):
 
 
 def run_sv_pmmh(observations, config: PmmhConfig, algo: str, master_seed: int,
-                stream_id: int = 0,
-                prior: Optional[SvPriorSpec] = None,
-                proposal: Optional[SvProposalSpec] = None) -> ChainRecord:
-    """One pseudo-marginal chain for the volatility model."""
-    prior = prior or SvPriorSpec()
-    proposal = proposal or SvProposalSpec()
-    stream = derive_stream(SeedSpec(master_seed, stream_id))
-    record = run_chain(
+                stream_id: int = 0) -> ChainRecord:
+    """One pseudo-marginal chain for the volatility model, under the default
+    prior and random-walk proposal."""
+    prior, proposal = SvPriorSpec(), SvProposalSpec()
+    return run_chain(
         sv_filter_runner(observations, config, algo),
         lambda theta: sv_log_prior(prior, theta),
         lambda theta, stream: sv_propose(proposal, theta, stream),
         lambda stream: sv_sample_prior(prior, stream),
         config.iterations,
-        stream,
-        metadata={
-            "algo": algo,
-            "n_particles": config.n_particles,
-            "epsilon": config.epsilon,
-            "lag": config.lag,
-            "steps": int(np.asarray(observations).size),
-            "master_seed": master_seed,
-            "stream_id": stream_id,
-        },
+        derive_stream(SeedSpec(master_seed, stream_id)),
     )
-    return record

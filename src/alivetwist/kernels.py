@@ -44,12 +44,12 @@ class AbcKernel:
     relative_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.mode not in ("relative", "absolute"):
             raise ValueError(f"mode must be 'relative' or 'absolute', got {self.mode!r}")
-        if self.relative_floor <= 0:
-            raise ValueError(f"relative_floor must be positive, got {self.relative_floor}")
+        if not 0 < self.relative_floor < math.inf:
+            raise ValueError(f"relative_floor must be positive and finite, got {self.relative_floor}")
 
     def weights(self, simulated, observed: float) -> np.ndarray:
         """Binary acceptance weights for a batch of simulated observations."""

@@ -1,23 +1,26 @@
 """State-space models and exact reference calculations.
 
 A model is a bundle of vectorised sampling closures (``HmmModel``) so the
-filters never need to know which concrete family they are running on.  Two
+filters never need to know which concrete family they are running on.  Three
 families ship here:
 
 * a linear-Gaussian autoregression with additive Gaussian noise, whose
-  marginal likelihood is available exactly via a Kalman recursion, and
-* a log-volatility autoregression whose observations are scaled heavy-tailed
-  stable draws, for which no observation density is available at all.
+  marginal likelihood is available exactly via a Kalman recursion;
+* a log-volatility autoregression on the same AR(1) latent law, whose
+  observations are scaled heavy-tailed stable draws, for which no
+  observation density is available at all; and
+* a small finite-state family whose forward recursion
+  (:func:`discrete_abc_log_marginal`) is the exact oracle for the
+  accept/reject filters.
 
-A small finite-state family plus a brute-force-checkable forward recursion
-(:func:`discrete_abc_log_marginal`) serves as the exact oracle for the
-accept/reject filters.
+Twists (lookahead guidance) are not part of a model; they live in
+:mod:`alivetwist.twist`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -46,10 +49,12 @@ class LinearGaussianParams:
     tau2: float
 
     def __post_init__(self) -> None:
-        if self.nu2 <= 0:
-            raise ValueError(f"nu2 must be positive, got {self.nu2}")
-        if self.tau2 <= 0:
-            raise ValueError(f"tau2 must be positive, got {self.tau2}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not 0 < self.nu2 < math.inf:
+            raise ValueError(f"nu2 must be positive and finite, got {self.nu2}")
+        if not 0 < self.tau2 < math.inf:
+            raise ValueError(f"tau2 must be positive and finite, got {self.tau2}")
 
 
 @dataclass(frozen=True)
@@ -68,14 +73,16 @@ class StochasticVolatilityParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.nu2 <= 0:
-            raise ValueError(f"nu2 must be positive, got {self.nu2}")
+        if not (math.isfinite(self.F) and math.isfinite(self.delta)):
+            raise ValueError(f"F and delta must be finite, got {self.F} and {self.delta}")
+        if not 0 < self.nu2 < math.inf:
+            raise ValueError(f"nu2 must be positive and finite, got {self.nu2}")
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
         if not -1 <= self.beta <= 1:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -133,20 +140,19 @@ class DiscreteHmmParams:
 class HmmModel:
     """Vectorised sampling interface shared by every filter.
 
-    All samplers accept/return 1-d arrays of latent states.  The two density
-    hooks are optional: ``log_observation_density`` is None exactly when the
-    observation density is unavailable (then only accept/reject filters
-    apply), and ``log_lookahead_predictive(y_future, k, lag)`` scores an
-    observation ``lag`` steps ahead of a current state ``k`` (exact for the
-    linear-Gaussian family, a Gaussian surrogate for the volatility family).
+    All samplers accept/return 1-d arrays of latent states.
+    ``log_observation_density`` is None exactly when the observation density
+    is unavailable; then only the accept/reject filters apply.
+    ``log_lookahead_predictive`` is always None: no model sets it and no
+    filter reads it.  It is kept only so that code wrapping every closure
+    by name still finds the attribute.
     """
 
     init_state_sampler: Callable[[np.random.Generator, int], np.ndarray]
     transition_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     observation_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     log_observation_density: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    log_lookahead_predictive: Optional[Callable[[float, np.ndarray, int], np.ndarray]] = None
-    metadata: dict = field(default_factory=dict)
+    log_lookahead_predictive: Optional[Callable] = None
 
 
 def simulate(model: HmmModel, steps: int, stream: np.random.Generator):
@@ -168,38 +174,10 @@ def simulate(model: HmmModel, steps: int, stream: np.random.Generator):
     return latents, observations
 
 
-# ---------------------------------------------------------------------------
-# Gaussian lookahead arithmetic (shared with the twisting machinery)
-# ---------------------------------------------------------------------------
-
-
-def ar1_lookahead_variance(phi: float, nu2: float, lag: int) -> float:
-    """Var(K_{t+lag} | K_t) accumulated over ``lag`` AR(1) transitions."""
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
-    if lag == 0:
-        return 0.0
-    r = phi * phi
-    if abs(r - 1.0) < 1e-12:
-        return nu2 * lag
-    return nu2 * (1.0 - r**lag) / (1.0 - r)
-
-
 def norm_logpdf(x, mean, var):
     """Log density of N(mean, var); var must be positive."""
     log_var = math.log(var) if np.ndim(var) == 0 else np.log(var)
     return -0.5 * (_LOG_TWO_PI + log_var + (np.asarray(x) - mean) ** 2 / var)
-
-
-def ar1_lookahead_logpdf(phi: float, nu2: float, obs_var: float, y_future, k, lag: int):
-    """Log predictive density of an observation ``lag`` steps ahead.
-
-    Under K_{t+lag} | K_t = k ~ N(phi**lag * k, ar1_lookahead_variance) and
-    Y = K + N(0, obs_var), the predictive is Gaussian with both variance
-    contributions added.  lag 0 scores the observation at the current state.
-    """
-    var = obs_var + ar1_lookahead_variance(phi, nu2, lag)
-    return norm_logpdf(y_future, phi**lag * np.asarray(k, dtype=float), var)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +185,9 @@ def ar1_lookahead_logpdf(phi: float, nu2: float, obs_var: float, y_future, k, la
 # ---------------------------------------------------------------------------
 
 
-def lg_model(params: LinearGaussianParams) -> HmmModel:
-    """Linear-Gaussian model bundle with exact density hooks."""
-    phi, nu2, tau2 = params.phi, params.nu2, params.tau2
+def _ar1_samplers(phi: float, nu2: float):
+    """Initial and transition samplers of K_0 ~ N(0, nu2), K_t = phi * K_{t-1} + N(0, nu2)."""
     sd = float(np.sqrt(nu2))
-    obs_sd = float(np.sqrt(tau2))
 
     def init_state_sampler(stream, size):
         return sd * stream.standard_normal(size)
@@ -220,6 +196,14 @@ def lg_model(params: LinearGaussianParams) -> HmmModel:
         k = np.asarray(k, dtype=float)
         return phi * k + sd * stream.standard_normal(k.shape)
 
+    return init_state_sampler, transition_sampler
+
+
+def lg_model(params: LinearGaussianParams) -> HmmModel:
+    """Linear-Gaussian model bundle with an exact observation density."""
+    tau2 = params.tau2
+    obs_sd = float(np.sqrt(tau2))
+
     def observation_sampler(k, stream):
         k = np.asarray(k, dtype=float)
         return k + obs_sd * stream.standard_normal(k.shape)
@@ -227,57 +211,19 @@ def lg_model(params: LinearGaussianParams) -> HmmModel:
     def log_observation_density(y, k):
         return norm_logpdf(y, np.asarray(k, dtype=float), tau2)
 
-    def log_lookahead_predictive(y_future, k, lag):
-        return ar1_lookahead_logpdf(phi, nu2, tau2, y_future, k, lag)
-
-    return HmmModel(
-        init_state_sampler,
-        transition_sampler,
-        observation_sampler,
-        log_observation_density,
-        log_lookahead_predictive,
-        metadata={"kind": "linear_gaussian", "params": params},
-    )
+    return HmmModel(*_ar1_samplers(params.phi, params.nu2), observation_sampler,
+                    log_observation_density)
 
 
 def sv_model(params: StochasticVolatilityParams) -> HmmModel:
-    """Stochastic-volatility bundle; the observation density is unavailable.
-
-    The lookahead hook uses a Gaussian observation surrogate with variance
-    2 * gamma**2, the variance a stable draw would have at tail index 2 and
-    unit volatility scale; metadata records the substitution.
-    """
-    F, nu2 = params.F, params.nu2
-    sd = float(np.sqrt(nu2))
-    surrogate_var = 2.0 * params.gamma**2
-
-    def init_state_sampler(stream, size):
-        return sd * stream.standard_normal(size)
-
-    def transition_sampler(k, stream):
-        k = np.asarray(k, dtype=float)
-        return F * k + sd * stream.standard_normal(k.shape)
+    """Stochastic-volatility bundle; the observation density is unavailable."""
 
     def observation_sampler(k, stream):
         k = np.asarray(k, dtype=float)
         noise = stable_sample(stream, params.alpha, params.beta, params.gamma, params.delta, size=k.shape)
         return np.exp(k / 2.0) * noise
 
-    def log_lookahead_predictive(y_future, k, lag):
-        return ar1_lookahead_logpdf(F, nu2, surrogate_var, y_future, k, lag)
-
-    return HmmModel(
-        init_state_sampler,
-        transition_sampler,
-        observation_sampler,
-        None,
-        log_lookahead_predictive,
-        metadata={
-            "kind": "stochastic_volatility",
-            "params": params,
-            "lookahead_surrogate": {"obs_var": surrogate_var, "reference_log_vol": 0.0},
-        },
-    )
+    return HmmModel(*_ar1_samplers(params.F, params.nu2), observation_sampler)
 
 
 def discrete_model(params: DiscreteHmmParams) -> HmmModel:
@@ -302,12 +248,7 @@ def discrete_model(params: DiscreteHmmParams) -> HmmModel:
         k = np.asarray(k, dtype=np.int64)
         return _row_categorical(emission[k], stream)
 
-    return HmmModel(
-        init_state_sampler,
-        transition_sampler,
-        observation_sampler,
-        metadata={"kind": "discrete", "params": params},
-    )
+    return HmmModel(init_state_sampler, transition_sampler, observation_sampler)
 
 
 # ---------------------------------------------------------------------------

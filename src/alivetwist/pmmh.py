@@ -16,8 +16,8 @@ parameter makes the tolerance practically unreachable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -228,7 +228,6 @@ class ChainRecord:
     cap_exceeded: int
     iterations: int
     final_state: PmmhState
-    metadata: dict = field(default_factory=dict)
 
     def theta_field(self, name: str) -> np.ndarray:
         """One sampled coordinate as an array over the stored iterations."""
@@ -237,7 +236,7 @@ class ChainRecord:
 
 def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
               iterations: int, stream: np.random.Generator,
-              init_attempts: int = 100, metadata: Optional[dict] = None) -> ChainRecord:
+              init_attempts: int = 100) -> ChainRecord:
     """Run the pseudo-marginal chain for ``iterations`` transitions.
 
     The initial parameter is drawn from the prior; prior draws whose filter
@@ -283,5 +282,4 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         cap_exceeded=cap_count,
         iterations=iterations,
         final_state=state,
-        metadata=dict(metadata or {}),
     )

@@ -199,6 +199,28 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
         accepted = int(cumulative[-1])
 
 
+def latent_proposer(model, states: Optional[np.ndarray] = None,
+                    accepted_idx: Optional[np.ndarray] = None):
+    """``propose(stream, count)`` for one alive step's plain latent proposals.
+
+    At the first step (``states`` None) each proposal is the initial draw plus
+    one transition.  Later, each picks an ancestor uniformly from
+    ``accepted_idx``, the previous pool's accepted slots among its first
+    T - 1, and moves ``states[ancestor]`` one transition on.  The returned
+    dict holds 'states' and, after the first step, 'ancestors'.
+    """
+    if states is None:
+        def propose(stream, count):
+            k0 = model.init_state_sampler(stream, count)
+            return {"states": model.transition_sampler(k0, stream)}
+    else:
+        def propose(stream, count):
+            ancestors = accepted_idx[stream.integers(0, accepted_idx.size, size=count)]
+            k = model.transition_sampler(states[ancestors], stream)
+            return {"states": k, "ancestors": ancestors}
+    return propose
+
+
 def alive_filter(model, kernel, observations, n_particles: int,
                  cap: int = DEFAULT_TRIAL_CAP,
                  stream: Optional[np.random.Generator] = None):
@@ -223,22 +245,15 @@ def alive_filter(model, kernel, observations, n_particles: int,
 
     for t, y in enumerate(observations):
         if prev is None:
-            def propose(stream, count):
-                k0 = model.init_state_sampler(stream, count)
-                k = model.transition_sampler(k0, stream)
-                return {"states": k, "pseudo_obs": model.observation_sampler(k, stream)}
+            propose_latents = latent_proposer(model)
         else:
             accepted_idx = prev.weights[: prev.stopping_time - 1].nonzero()[0]
-            prev_states = prev.states
+            propose_latents = latent_proposer(model, prev.states, accepted_idx)
 
-            def propose(stream, count):
-                ancestors = accepted_idx[stream.integers(0, accepted_idx.size, size=count)]
-                k = model.transition_sampler(prev_states[ancestors], stream)
-                return {
-                    "states": k,
-                    "pseudo_obs": model.observation_sampler(k, stream),
-                    "ancestors": ancestors,
-                }
+        def propose(stream, count):
+            out = propose_latents(stream, count)
+            out["pseudo_obs"] = model.observation_sampler(out["states"], stream)
+            return out
 
         pool, stopping_time = sample_until_alive(
             propose, kernel, y, n_particles, cap, stream,

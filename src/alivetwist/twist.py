@@ -66,7 +66,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .models import DiscreteHmmParams, ar1_lookahead_variance, norm_logpdf
+from .models import DiscreteHmmParams, norm_logpdf
 from .rng import categorical, categorical_many, uniform_index
 from .smc import (
     DEFAULT_TRIAL_CAP,
@@ -77,6 +77,7 @@ from .smc import (
     StoppingTimeCapError,
     _logsumexp1d,
     checked_observations,
+    latent_proposer,
     sample_until_alive,
 )
 
@@ -143,6 +144,18 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gaussian lookahead twist
 # ---------------------------------------------------------------------------
+
+
+def ar1_lookahead_variance(phi: float, nu2: float, lag: int) -> float:
+    """Var(K_{t+lag} | K_t) accumulated over ``lag`` AR(1) transitions."""
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
+    if lag == 0:
+        return 0.0
+    r = phi * phi
+    if abs(r - 1.0) < 1e-12:
+        return nu2 * lag
+    return nu2 * (1.0 - r**lag) / (1.0 - r)
 
 
 @dataclass(frozen=True)
@@ -250,8 +263,9 @@ def sv_twist(params, lag: int) -> GaussianLookaheadTwist:
     its prior-mean log-volatility of 0.  The alive filter's acceptance masses
     (``log_qh_alive``) assume that surrogate too, not the model's stable
     observation law, so ``alive_twisted_filter`` with this twist does not
-    estimate the model's own ABC marginal: it measured about 7% low in Ẑ
-    over 20 steps.
+    estimate the model's own ABC marginal.  Against a grid-quadrature oracle
+    (epsilon 3.5 relative, lag 5) E[Ẑ]/Z measured 0.986 at T = 20, N = 100
+    and 0.804 at T = 200, N = 50; plain alive matched within noise.
     """
     return GaussianLookaheadTwist(params.F, params.nu2, 2.0 * params.gamma**2, lag)
 
@@ -520,27 +534,17 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             log_numerator = math.log(n_particles - 1) + float(
                 twist.log_qh_alive(y_window, None, kernel)
             )
-
-            def propose_latents(stream, count):
-                k0 = model.init_state_sampler(stream, count)
-                return {"states": model.transition_sampler(k0, stream)}
+            propose_latents = latent_proposer(model)
         else:
-            prev_states = prev.states
             log_qh_prev = twist.log_qh_alive(y_window, accepted_states, kernel)
             # one shifted-exp pass serves both the ancestor draw and the numerator
             shift = float(log_qh_prev.max())
             cdf = np.cumsum(np.exp(log_qh_prev - shift))
             pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
             guided_ancestor = int(accepted_idx[min(pick, accepted_idx.size - 1)])
-            guided_anchor = prev_states[guided_ancestor]
+            guided_anchor = prev.states[guided_ancestor]
             log_numerator = shift + math.log(float(cdf[-1]))
-
-            def propose_latents(stream, count):
-                ancestors = accepted_idx[stream.integers(0, accepted_idx.size, size=count)]
-                return {
-                    "states": model.transition_sampler(prev_states[ancestors], stream),
-                    "ancestors": ancestors,
-                }
+            propose_latents = latent_proposer(model, prev.states, accepted_idx)
 
         def propose_guided(stream, count):
             states = twist.propose_guided_states(guided_anchor, y_window, stream, count)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
+from scipy.stats import levy_stable
 
 from alivetwist.rng import SeedSpec, derive_stream
 
@@ -65,21 +68,16 @@ def monte_carlo_z(values: np.ndarray, target: float) -> float:
     return float(abs(values.mean() - target) / se)
 
 
-def lg_abc_grid_log_marginal(params, observations, kernel, n_grid: int = 2001,
-                             span: float = 8.0) -> float:
-    """Absolute truth for the interval-acceptance marginal of the
-    linear-Gaussian model, by deterministic grid integration.
+def _ar1_grid_log_marginal(phi, nu2, observations, kernel, accept_mass, n_grid, span):
+    """Forward recursion over a trapezoid grid of AR(1) latent states.
 
-    Forward recursion over a trapezoid grid of latent states: start from the
-    density of the state one transition past the initial draw,
-    N(0, (1 + phi^2) nu2); each step multiplies in the probability that a
-    simulated observation from state x lands in the kernel's acceptance
-    interval, P(x + noise in [lo, hi]) = ndtr((hi - x)/tau) - ndtr((lo - x)/tau),
-    integrates that product for the step's factor, then pushes the normalised
-    posterior through the transition density.  Shares no code with the
-    filters under test.
+    Start from the density of the state one transition past the initial
+    draw, N(0, (1 + phi^2) nu2); each step multiplies in
+    ``accept_mass(x, lo, hi)``, the probability that a simulated observation
+    from state x lands in the kernel's acceptance interval, integrates that
+    product for the step's factor, then pushes the normalised posterior
+    through the transition density.
     """
-    phi, nu2, tau2 = params.phi, params.nu2, params.tau2
     observations = np.asarray(observations, dtype=float)
     v1 = (1.0 + phi * phi) * nu2
     var = v1
@@ -93,17 +91,89 @@ def lg_abc_grid_log_marginal(params, observations, kernel, n_grid: int = 2001,
     trap = np.full(n_grid, h)
     trap[0] = trap[-1] = h / 2.0
     density = np.exp(-0.5 * x * x / v1) / math.sqrt(2.0 * math.pi * v1)
-    tau = math.sqrt(tau2)
     diff = x[None, :] - phi * x[:, None]
     transition = np.exp(-0.5 * diff * diff / nu2) / math.sqrt(2.0 * math.pi * nu2)
     log_total = 0.0
     for y in observations:
-        lo, hi = kernel.interval(float(y))
-        mass = ndtr((hi - x) / tau) - ndtr((lo - x) / tau)
-        joint = density * mass
+        joint = density * accept_mass(x, *kernel.interval(float(y)))
         step = float(np.sum(trap * joint))
         if step <= 0.0:
             return float("-inf")
         log_total += math.log(step)
         density = (trap * joint / step) @ transition
     return log_total
+
+
+def lg_abc_grid_log_marginal(params, observations, kernel, n_grid: int = 2001,
+                             span: float = 8.0) -> float:
+    """Absolute truth for the interval-acceptance marginal of the
+    linear-Gaussian model, by deterministic grid integration.
+
+    A simulated observation from state x is x + N(0, tau2), so it lands in
+    [lo, hi] with probability ndtr((hi - x)/tau) - ndtr((lo - x)/tau).
+    Shares no code with the filters under test.
+    """
+    tau = math.sqrt(params.tau2)
+
+    def accept_mass(x, lo, hi):
+        return ndtr((hi - x) / tau) - ndtr((lo - x) / tau)
+
+    return _ar1_grid_log_marginal(params.phi, params.nu2, observations, kernel, accept_mass,
+                                  n_grid, span)
+
+
+def near_zero_window(alpha: float) -> float:
+    """Half-width of the window around 0 in which ``levy_stable.cdf`` (S1,
+    alpha != 1) returns its value at 0."""
+    return levy_stable.piecewise_x_tol_near_zeta * alpha ** (1.0 / alpha)
+
+
+@lru_cache(maxsize=None)
+def stable_cdf_table(alpha: float, beta: float, nodes: int = 1201):
+    """The standard stable CDF, parameterization "S1" (scale 1, location 0),
+    as a vectorised function.
+
+    ``levy_stable.cdf`` is evaluated once at ``nodes`` points evenly spaced
+    in arctan(x) over (-pi/2, pi/2), with CDF 0 and 1 at the ends, and
+    interpolated by a cubic spline in that coordinate.  The S1 setting is
+    restored afterwards, since it is global to scipy.
+
+    scipy rounds every x with |x| < ``near_zero_window(alpha)`` to 0 (Nolan's
+    workaround for the integrand's singularity there), so its CDF is flat
+    across that window, off by up to the density times the window.  Nodes
+    inside it are skipped, except x = 0 itself, and the spline bridges the gap.
+    """
+    theta = np.linspace(-math.pi / 2.0, math.pi / 2.0, nodes)
+    theta = theta[(np.abs(np.tan(theta)) >= near_zero_window(alpha)) | (theta == 0.0)]
+    values = np.empty(theta.size)
+    values[0], values[-1] = 0.0, 1.0
+    previous = levy_stable.parameterization
+    levy_stable.parameterization = "S1"
+    try:
+        values[1:-1] = levy_stable.cdf(np.tan(theta[1:-1]), alpha, beta)
+    finally:
+        levy_stable.parameterization = previous
+    spline = CubicSpline(theta, values)
+    return lambda x: np.clip(spline(np.arctan(x)), 0.0, 1.0)
+
+
+def sv_abc_grid_log_marginal(params, observations, kernel, n_grid: int = 1501,
+                             span: float = 8.0) -> float:
+    """Absolute truth for the interval-acceptance marginal of the volatility
+    model, by the same grid recursion.
+
+    A simulated observation from state x is exp(x/2) * (gamma * S + delta)
+    with S standard stable, so it lands in [lo, hi] with probability
+    F_S((hi e^{-x/2} - delta)/gamma) - F_S((lo e^{-x/2} - delta)/gamma),
+    F_S from :func:`stable_cdf_table`.  The filters draw S by the
+    Chambers-Mallows-Stuck transform and never use this CDF.
+    """
+    cdf = stable_cdf_table(params.alpha, params.beta)
+    gamma, delta = params.gamma, params.delta
+
+    def accept_mass(x, lo, hi):
+        scale = np.exp(-x / 2.0)
+        return cdf((hi * scale - delta) / gamma) - cdf((lo * scale - delta) / gamma)
+
+    return _ar1_grid_log_marginal(params.F, params.nu2, observations, kernel, accept_mass,
+                                  n_grid, span)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -110,6 +111,12 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", config, "--out", out]) == 1
         assert "alivetwist: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", [5, {"steps": True}])
+    def test_malformed_simulate_section_exits_1(self, tmp_path, section, capsys):
+        config = _write_json(tmp_path, "sim.json", dict(LG_CONFIG, simulate=section))
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "alivetwist: error:" in capsys.readouterr().err
+
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
@@ -214,6 +221,25 @@ class TestFilter:
             messages.append(capsys.readouterr().err)
         assert messages[0] == messages[1]
         assert "0/10 acceptances after 10000 of at most 10000 proposals" in messages[0]
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("simulate", "model", "nu2", float("nan")),
+        ("filter", "kernel", "epsilon", float("nan")),
+        ("filter", "filter", "n_particles", float("inf")),
+    ])
+    def test_non_finite_config_number_exits_1(self, tmp_path, lg_data, command, section, key,
+                                              value, capsys):
+        """json reads NaN and Infinity; they are config errors, not a NaN
+        record, a cap abort or an overflow traceback."""
+        config = _write_json(tmp_path, "bad.json",
+                             dict(LG_CONFIG, **{section: dict(LG_CONFIG[section], **{key: value})}))
+        out = str(tmp_path / "out.csv")
+        args = ["--config", config, "--out", out]
+        if command == "filter":
+            args += ["--algo", "alive", "--data", lg_data]
+        assert cli.main([command, *args]) == 1
+        assert f"key '{key}' must be a finite number" in capsys.readouterr().err
+        assert not Path(out).exists()
 
     def test_missing_data_file_exits_1(self, tmp_path, lg_config, capsys):
         assert cli.main(["filter", "--algo", "alive", "--config", lg_config,
@@ -443,6 +469,19 @@ class TestEntryPoint:
         )
         assert done.returncode == 0
         assert "simulate" in done.stdout and "selftest" in done.stdout
+
+    def test_package_import_does_not_load_scipy_stats(self):
+        """scipy.stats takes over a second to import, and every run pays for
+        the package import."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        script = "import sys, alivetwist; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
     def test_module_requires_a_subcommand(self):
         done = subprocess.run(

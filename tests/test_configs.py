@@ -76,13 +76,19 @@ class TestParseModel:
         with pytest.raises(ConfigError, match="phi"):
             parse_model(config)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_not_a_number(self, value):
+        config = {"model": {"kind": "linear_gaussian", "phi": 0.9, "nu2": value, "tau2": 1}}
+        with pytest.raises(ConfigError, match="nu2"):
+            parse_model(config)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             parse_model({"model": {"kind": "poisson"}})
 
     def test_build_model(self):
         lg = build_model(LinearGaussianParams(0.9, 1.0, 1.0))
-        assert lg.metadata["kind"] == "linear_gaussian"
+        assert lg.log_observation_density is not None
         sv = build_model(StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5))
         assert sv.log_observation_density is None
         with pytest.raises(ConfigError):

@@ -31,6 +31,13 @@ class TestAbcKernelValidation:
         with pytest.raises(ValueError):
             AbcKernel(epsilon=1.0, relative_floor=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sizes_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon"):
+            AbcKernel(epsilon=value)
+        with pytest.raises(ValueError, match="relative_floor"):
+            AbcKernel(epsilon=1.0, relative_floor=value)
+
 
 class TestAbcKernelInterval:
     def test_absolute_interval_is_symmetric(self):

@@ -15,11 +15,8 @@ from alivetwist import (
     simulate,
     sv_model,
 )
-from alivetwist.models import (
-    ar1_lookahead_logpdf,
-    ar1_lookahead_variance,
-    norm_logpdf,
-)
+from alivetwist.models import norm_logpdf
+from alivetwist.twist import ar1_lookahead_variance, lg_twist, sv_twist
 
 from helpers import stream_for
 
@@ -39,6 +36,16 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             StochasticVolatilityParams(F=0.5, nu2=1.0, alpha=1.5, beta=0.0, gamma=0.0)
         StochasticVolatilityParams(F=0.5, nu2=1.0, alpha=2.0, beta=-1.0, gamma=0.3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, value):
+        for kwargs in ({"nu2": value}, {"tau2": value}, {"phi": value}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                LinearGaussianParams(**{"phi": 0.9, "nu2": 1.0, "tau2": 1.0, **kwargs})
+        for kwargs in ({"nu2": value}, {"gamma": value}, {"F": value}, {"delta": value}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                StochasticVolatilityParams(**{"F": 0.5, "nu2": 0.01, "alpha": 1.95, "beta": 0.0,
+                                              "gamma": 0.5, **kwargs})
 
     def test_discrete_rows_must_be_stochastic(self):
         good = DiscreteHmmParams(
@@ -97,14 +104,10 @@ class TestNormLogpdf:
 
 
 class TestLookaheadPredictive:
-    def test_lag_zero_scores_current_state(self):
-        k = np.array([-1.0, 0.0, 2.5])
-        got = ar1_lookahead_logpdf(0.9, 1.0, 0.6, 1.2, k, 0)
-        np.testing.assert_allclose(got, norm_logpdf(1.2, k, 0.6), rtol=1e-12)
-
     def test_sampler_and_density_agree_at_lag_three(self):
         """Dual route: simulate forward with the model closures, then KS-test
-        the resulting observations against the claimed Gaussian predictive."""
+        the resulting observations against the Gaussian predictive that the
+        linear-Gaussian lookahead twist scores."""
         params = LinearGaussianParams(phi=0.8, nu2=0.7, tau2=0.4)
         model = lg_model(params)
         stream = stream_for(101)
@@ -117,19 +120,13 @@ class TestLookaheadPredictive:
         mean = params.phi**lag * start
         pvalue = stats.kstest(y, stats.norm(loc=mean, scale=np.sqrt(var)).cdf).pvalue
         assert pvalue > 1e-3
-        # and the density hook reports exactly that Gaussian
-        probe = np.array([start])
-        got = float(model.log_lookahead_predictive(0.3, probe, lag)[0])
+        # and the twist's log h reports exactly that Gaussian
+        window = np.array([0.0] * lag + [0.3])
+        got = float(lg_twist(params, lag).log_h(window, np.array([start]))[0])
         assert got == pytest.approx(float(norm_logpdf(0.3, mean, var)), rel=1e-12)
 
 
 class TestLinearGaussianModel:
-    def test_metadata_identifies_family(self):
-        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
-        model = lg_model(params)
-        assert model.metadata["kind"] == "linear_gaussian"
-        assert model.metadata["params"] == params
-
     def test_observation_density_matches_sampler(self):
         params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=0.5)
         model = lg_model(params)
@@ -151,20 +148,14 @@ class TestStochasticVolatilityModel:
         model = sv_model(params)
         assert model.log_observation_density is None
 
-    def test_surrogate_metadata(self):
-        params = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
-        model = sv_model(params)
-        surrogate = model.metadata["lookahead_surrogate"]
-        assert surrogate["obs_var"] == pytest.approx(2.0 * params.gamma**2)
-        assert surrogate["reference_log_vol"] == 0.0
-
     def test_lookahead_hook_uses_surrogate_variance(self):
+        """The volatility twist scores the observation two steps ahead under a
+        Gaussian with variance 2 * gamma**2 plus the AR(1) spread."""
         params = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
-        model = sv_model(params)
         k = np.array([0.2, -0.4])
-        got = model.log_lookahead_predictive(0.9, k, 2)
-        want = ar1_lookahead_logpdf(params.F, params.nu2, 2.0 * params.gamma**2, 0.9, k, 2)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        got = sv_twist(params, 2).log_h(np.array([0.0, 0.0, 0.9]), k)
+        var = 2.0 * params.gamma**2 + ar1_lookahead_variance(params.F, params.nu2, 2)
+        np.testing.assert_allclose(got, norm_logpdf(0.9, params.F**2 * k, var), rtol=1e-12)
 
     def test_observation_scales_with_volatility(self):
         """At alpha=2 the noise is exactly Gaussian, so exp(k/2) scaling is

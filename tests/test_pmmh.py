@@ -267,11 +267,10 @@ class TestRunChain:
 
     def test_zero_iterations(self):
         record = run_chain(_stub_filter(0.0), lambda t: 0.0, lambda t, s: (t, 0.0),
-                           lambda s: 7, 0, stream_for(309), metadata={"tag": 1})
+                           lambda s: 7, 0, stream_for(309))
         assert record.thetas == [7]
         assert record.acceptance_rate == 0.0
         np.testing.assert_array_equal(record.accepted, [1])
-        assert record.metadata == {"tag": 1}
 
     def test_initialisation_redraws_on_cap(self):
         draws = iter([1, 2, 3, 4])
