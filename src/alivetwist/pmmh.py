@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from .rng import gaussian
+from .rng import categorical, gaussian
 from .smc import BootstrapGeneration, ParticleGeneration, StoppingTimeCapError
 
 
@@ -155,9 +155,7 @@ def select_path(generations, stream: np.random.Generator) -> np.ndarray:
         candidates = np.flatnonzero(final.weights[: final.stopping_time - 1] == 1)
         index = int(candidates[stream.integers(0, candidates.size)])
     elif isinstance(final, BootstrapGeneration):
-        probs = np.exp(final.log_weights - final.log_weights.max())
-        cdf = np.cumsum(probs)
-        index = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
+        index = categorical(stream, np.exp(final.log_weights - final.log_weights.max()))
     else:
         raise TypeError(f"unsupported generation type {type(final)!r}")
     path = np.empty(len(generations), dtype=np.asarray(final.states).dtype)

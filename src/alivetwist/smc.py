@@ -9,11 +9,17 @@ acceptances) feed resampling and the normalising-constant factor
 (target - 1) / (T - 1).  The count of proposals per step is capped so a
 too-tight tolerance fails loudly instead of looping forever.
 
-Proposals are drawn in speculative batches for vectorisation.  The batch
-schedule is a deterministic function of the run so far, and a batch is always
-generated in full before truncating at the stopping position, so results are
-bit-for-bit reproducible: the same seed gives the same trajectory regardless
-of batching internals.
+Proposals are drawn in speculative batches for vectorisation.  The first
+batch is sized from a hint (the filters pass 1.3 times the previous stopping
+time); after a short batch the next is sized from the acceptance rate seen so
+far, doubling only while nothing has been accepted.  Sizes depend only on
+proposals already drawn and every batch is generated in full before
+truncating at the stopping position, so the pool is the prefix of an iid
+proposal sequence up to the target-th acceptance whatever the schedule.
+Output is bit-for-bit reproducible for a given seed and schedule.  A
+different schedule hands each proposal different draws from the stream (a
+proposer that reads the stream takes its draws batch by batch), which
+changes the trajectory a seed gives but not its law.
 
 A standard multinomial bootstrap filter over an explicit observation density
 is included as the baseline the accept/reject filters are compared against.
@@ -32,6 +38,7 @@ from .rng import categorical_many
 DEFAULT_TRIAL_CAP = 1_000_000
 
 _MAX_BATCH = 1 << 18
+_TOP_UP_MARGIN = 1.2
 
 
 class StoppingTimeCapError(RuntimeError):
@@ -145,14 +152,6 @@ def checked_observations(observations, dtype=None) -> np.ndarray:
     return observations
 
 
-def _batch_schedule(target: int, batch_hint: Optional[int]):
-    """Deterministic proposal batch sizes: start near the expected need, then double."""
-    size = max(target, batch_hint) if batch_hint else max(2 * target, 64)
-    while True:
-        yield min(size, _MAX_BATCH)
-        size = min(2 * size, _MAX_BATCH)
-
-
 def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
                        kernel, observed, target: int, cap: int,
                        stream: np.random.Generator,
@@ -162,8 +161,9 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
 
     ``propose(stream, count)`` returns a dict of equal-length arrays that must
     include 'pseudo_obs'; the returned pool contains the same keys truncated
-    at the stopping position plus binary 'weights'.  Raises
-    StoppingTimeCapError if ``cap`` proposals do not yield ``target``
+    at the stopping position plus binary 'weights'.  ``batch_hint`` sizes
+    the first batch (at least ``target``; without one, max(2 target, 64)).
+    Raises StoppingTimeCapError if ``cap`` proposals do not yield ``target``
     acceptances.
     """
     if target < 1:
@@ -174,9 +174,9 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
     chunks: List[dict] = []
     drawn = 0
     accepted = 0
-    schedule = _batch_schedule(target, batch_hint)
+    size = max(target, batch_hint) if batch_hint else max(2 * target, 64)
     while True:
-        size = min(next(schedule), cap - drawn)
+        size = min(size, _MAX_BATCH, cap - drawn)
         if size <= 0:
             raise StoppingTimeCapError(step, drawn, accepted, target, cap)
         batch = propose(stream, size)
@@ -197,6 +197,12 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
         chunks.append(batch)
         drawn += size
         accepted = int(cumulative[-1])
+        # top up by the acceptance rate seen so far, with a 20% margin so one
+        # more batch usually suffices; double while there is no rate yet
+        if accepted:
+            size = math.ceil(_TOP_UP_MARGIN * (target - accepted) * drawn / accepted)
+        else:
+            size *= 2
 
 
 def latent_proposer(model, states: Optional[np.ndarray] = None,

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 
 from .models import DiscreteHmmParams, norm_logpdf
 from .rng import categorical, categorical_many, uniform_index
@@ -108,9 +108,9 @@ def _insert_scalar(arr: np.ndarray, slot: int, value) -> np.ndarray:
 def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     """log P(lo <= X <= hi) for X ~ N(mean, var), elementwise over ``mean``.
 
-    Computed through the log-CDF on whichever tail keeps the difference well
-    conditioned, so masses far out in either tail stay accurate instead of
-    cancelling to zero.
+    Each interval is reflected onto the lower tail, where the CDF difference
+    stays well conditioned, so masses far out in either tail stay accurate
+    instead of cancelling to zero.  Masses below 1e-300 floor at LOG_FLOOR.
     """
     mean = np.asarray(mean, dtype=float)
     sd = math.sqrt(var)
@@ -129,16 +129,12 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
             return np.maximum(np.log(np.maximum(ndtr(b) - ndtr(a), 1e-300)), LOG_FLOOR)
     a = (lo - mean) / sd
     b = (hi - mean) / sd
+    # reflect each interval so its midpoint sits on the lower half-line: there
+    # the CDF keeps full relative precision down to the floor, so the plain
+    # difference needs no log-CDF to stay accurate
     flip = a + b > 0
-    la = log_ndtr(np.where(flip, -b, a))
-    # the mass is at most exp(lb), so a log-CDF below the floor floors the
-    # result anyway; clamping it keeps two underflowed (-inf) log-CDFs from
-    # differencing to NaN
-    lb = np.maximum(log_ndtr(np.where(flip, -a, b)), LOG_FLOOR)
-    d = np.exp(np.minimum(la - lb, 0.0))
-    degenerate = d >= 1.0  # equal log-CDFs: the mass is below the floor
-    out = np.where(degenerate, LOG_FLOOR, lb + np.log1p(-np.where(degenerate, 0.5, d)))
-    return np.maximum(out, LOG_FLOOR)
+    mass = ndtr(np.where(flip, -a, b)) - ndtr(np.where(flip, -b, a))
+    return np.maximum(np.log(np.maximum(mass, 1e-300)), LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,27 @@ class TestCategoricalMany:
         with pytest.raises(ValueError):
             categorical_many(derive_stream(SeedSpec(10, 0)), [1.0], -1)
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 2000])
+    @pytest.mark.parametrize("weights", [
+        [0.0, 0.0, 1.0, 2.0, 3.0],  # zeros at the start
+        [1.0, 0.0, 0.0, 2.0, 0.5],  # zeros in the middle
+        [2.0, 1.0, 3.0, 0.0, 0.0],  # zeros at the end
+        [1.0, 1.0, 0.25, 1.0, 1.0, 0.25],  # ties
+        list(np.random.default_rng(7).exponential(size=2000)),
+    ])
+    def test_equals_unsorted_search(self, weights, size):
+        """Searching the uniforms in sorted order gives exactly the indices a
+        search in draw order gives, from the same stream."""
+        weights = np.asarray(weights)
+        cdf = np.cumsum(weights)
+        stream = derive_stream(SeedSpec(11, size))
+        want = np.minimum(
+            np.searchsorted(cdf, stream.random(size) * cdf[-1], side="right"), weights.size - 1
+        )
+        got = categorical_many(derive_stream(SeedSpec(11, size)), weights, size)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     def test_matches_weights(self):
         stream = derive_stream(SeedSpec(10, 1))
         weights = np.array([0.5, 0.25, 0.125, 0.125])

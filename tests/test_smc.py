@@ -25,7 +25,7 @@ from alivetwist import (
     simulate,
 )
 from alivetwist.models import HmmModel
-from alivetwist.smc import _batch_schedule
+from alivetwist.smc import _MAX_BATCH
 
 from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for
 
@@ -40,11 +40,15 @@ class BinaryKernel:
 
 
 def scripted_proposer(pattern):
-    """propose(stream, count) feeding a fixed global acceptance pattern."""
+    """propose(stream, count) feeding a fixed global acceptance pattern.
+
+    The requested counts are recorded, in order, in ``propose.sizes``.
+    """
     pattern = np.asarray(pattern, dtype=np.int64)
     cursor = [0]
 
     def propose(stream, count):
+        propose.sizes.append(count)
         start = cursor[0]
         cursor[0] = start + count
         taken = pattern[start : start + count]
@@ -52,6 +56,7 @@ def scripted_proposer(pattern):
             taken = np.concatenate([taken, np.zeros(count - taken.size, dtype=np.int64)])
         return {"pseudo_obs": taken, "tag": np.arange(start, start + count)}
 
+    propose.sizes = []
     return propose
 
 
@@ -89,18 +94,50 @@ class TestNormConstEstimate:
 
 
 class TestBatchSchedule:
+    """Batch sizes requested by sample_until_alive, read off a scripted proposer."""
+
+    @staticmethod
+    def _sizes(pattern, target, cap, batch_hint=None):
+        propose = scripted_proposer(pattern)
+        try:
+            sample_until_alive(propose, BinaryKernel(), 0, target, cap, stream_for(0),
+                               batch_hint=batch_hint)
+        except StoppingTimeCapError:
+            pass
+        return propose.sizes
+
     def test_hint_then_doubling(self):
-        schedule = _batch_schedule(target=10, batch_hint=25)
-        assert [next(schedule) for _ in range(4)] == [25, 50, 100, 200]
+        """Sizes double while nothing has been accepted."""
+        assert self._sizes([], target=10, cap=375, batch_hint=25) == [25, 50, 100, 200]
 
     def test_no_hint_starts_at_twice_target_or_64(self):
-        assert next(_batch_schedule(10, None)) == 64
-        assert next(_batch_schedule(100, None)) == 200
+        assert self._sizes(np.ones(300), 10, 1000) == [64]
+        assert self._sizes(np.ones(300), 100, 1000) == [200]
+
+    def test_top_up_follows_acceptance_rate(self):
+        """After a short batch the next size is ceil(1.2 (target - accepted) drawn / accepted)."""
+        pattern = np.zeros(400, dtype=int)
+        pattern[3:36:4] = 1  # 9 acceptances in the first 40
+        pattern[43:99:8] = 1  # 7 more in the next 59
+        pattern[99:] = 1
+        sizes = self._sizes(pattern, target=20, cap=1000, batch_hint=40)
+        first = math.ceil(1.2 * (20 - 9) * 40 / 9)
+        second = math.ceil(1.2 * (20 - 16) * (40 + first) / 16)
+        assert (first, second) == (59, 30)
+        assert sizes == [40, first, second]
+
+    def test_top_up_clipped_to_remaining_cap(self):
+        pattern = np.zeros(100, dtype=int)
+        pattern[0] = 1  # rate 1/10 asks for 108 more, but only 20 remain
+        propose = scripted_proposer(pattern)
+        with pytest.raises(StoppingTimeCapError) as info:
+            sample_until_alive(propose, BinaryKernel(), 0, 10, 30, stream_for(0), batch_hint=10)
+        assert propose.sizes == [10, 20]
+        assert info.value.drawn == 30 and info.value.accepted == 1
 
     def test_sizes_never_exceed_max_batch(self):
-        schedule = _batch_schedule(10, 1 << 17)
-        sizes = [next(schedule) for _ in range(6)]
-        assert max(sizes) == 1 << 18
+        sizes = self._sizes([], 10, 3 * _MAX_BATCH, batch_hint=_MAX_BATCH // 2)
+        assert sizes == [_MAX_BATCH // 2, _MAX_BATCH, _MAX_BATCH, _MAX_BATCH // 2]
 
 
 class TestSampleUntilAlive:
@@ -121,6 +158,7 @@ class TestSampleUntilAlive:
         assert pool["weights"][-1] == 1
 
     def test_result_independent_of_batching(self):
+        """A proposer that reads no stream gives the same pool under any schedule."""
         pattern = (np.arange(400) % 7 == 3).astype(int)
         reference = None
         for hint in (None, 2, 3, 64, 399):
@@ -157,11 +195,10 @@ class TestSampleUntilAlive:
             sample_until_alive(propose, BinaryKernel(), 0, 2, 137, stream_for(0))
         assert sum(drawn) == 137
 
-    def test_stopping_time_law_is_negative_binomial(self):
-        """T - target counts failures before the target-th success, so T
-        follows a shifted negative binomial; chi-square GoF against scipy."""
-        rate, target, reps = 0.3, 5, 20_000
-        stream = stream_for(210)
+    @staticmethod
+    def _stops(rate, target, reps, seed, batch_hint=None):
+        """Stopping times of ``reps`` steps with stream-driven Bernoulli(rate) proposals."""
+        stream = stream_for(seed)
 
         class ThresholdKernel:
             def weights(self, simulated, observed):
@@ -170,22 +207,42 @@ class TestSampleUntilAlive:
         def propose(stream, count):
             return {"pseudo_obs": stream.random(count)}
 
-        stops = np.array([
-            sample_until_alive(propose, ThresholdKernel(), 0.0, target, 10**6, stream)[1]
+        return np.array([
+            sample_until_alive(propose, ThresholdKernel(), 0.0, target, 10**6, stream,
+                               batch_hint=batch_hint)[1]
             for _ in range(reps)
         ])
+
+    @staticmethod
+    def _assert_negative_binomial(stops, target, rate):
+        """Chi-square GoF of T - target against the failures before the target-th success."""
         law = stats.nbinom(target, rate)
-        edges = np.arange(target, 61)
+        last = target + int(law.ppf(0.999))
+        edges = np.arange(target, last + 1)
         expected = np.array(
-            [law.pmf(t - target) * reps for t in edges[:-1]] + [law.sf(60 - target - 1) * reps]
-        )
+            [law.pmf(t - target) for t in edges[:-1]] + [law.sf(last - target - 1)]
+        ) * stops.size
         observed = np.array(
-            [np.sum(stops == t) for t in edges[:-1]] + [np.sum(stops >= 60)]
+            [np.sum(stops == t) for t in edges[:-1]] + [np.sum(stops >= last)]
         )
         keep = expected >= 5
         chi2 = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
         dof = int(keep.sum()) - 1
         assert chi2 < stats.chi2(dof).ppf(0.999)
+
+    def test_stopping_time_law_is_negative_binomial(self):
+        """T - target counts failures before the target-th success, so T
+        follows a shifted negative binomial; chi-square GoF against scipy."""
+        rate, target = 0.3, 5
+        self._assert_negative_binomial(self._stops(rate, target, 20_000, 210), target, rate)
+
+    @pytest.mark.parametrize("rate, seed", [(0.3, 220), (0.05, 221)])
+    def test_stopping_time_law_survives_top_ups(self, rate, seed):
+        """A first batch of exactly ``target`` makes nearly every step top up
+        by the observed rate; the law of T must not move."""
+        target = 5
+        stops = self._stops(rate, target, 10_000, seed, batch_hint=target)
+        self._assert_negative_binomial(stops, target, rate)
 
 
 class TestAliveFilter:
@@ -258,6 +315,33 @@ class TestAliveFilter:
             for rep in range(2000)
         ])
         assert monte_carlo_z(estimates, math.exp(truth)) < 3.0
+
+    @pytest.mark.parametrize("steps, n_particles, records", [(50, 200, 20), (100, 2000, 3)])
+    def test_speculative_waste_is_bounded(self, steps, n_particles, records):
+        """Proposals drawn per stored proposal stay below 1.8 on the benchmark's
+        linear-Gaussian setting (relative ball 1.5, floor 0.1).  A count, not a
+        timing: the same seeds give the same ratio on every machine.  A
+        schedule that doubles every top-up draws over 2 per stored proposal here."""
+        model = self._lg()
+
+        class CountingKernel:
+            def __init__(self, kernel):
+                self.kernel = kernel
+                self.scored = 0
+
+            def weights(self, simulated, observed):
+                self.scored += len(simulated)
+                return self.kernel.weights(simulated, observed)
+
+        kernel = CountingKernel(AbcKernel(epsilon=1.5, mode="relative", relative_floor=0.1))
+        stored = 0
+        for r in range(records):
+            _, observations = simulate(model, steps, stream_for(900, r))
+            generations, _ = alive_filter(
+                model, kernel, observations, n_particles, stream=stream_for(901, r)
+            )
+            stored += sum(g.stopping_time for g in generations)
+        assert kernel.scored / stored <= 1.8
 
 
 class TestBootstrapFilter:

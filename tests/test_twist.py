@@ -261,13 +261,19 @@ class TestIntervalMass:
         assert got == pytest.approx(float(want), rel=1e-9)
 
     def test_mixed_array_takes_consistent_values(self):
-        means = np.array([0.0, 9.5])  # second element pushes into the tail regime
-        got = _log_interval_mass(means, 1.0, -1.0, 1.0)
-        for mean, value in zip(means, got):
-            want = mpmath.log(
-                mpmath.ncdf(mpmath.mpf(1.0 - mean)) - mpmath.ncdf(mpmath.mpf(-1.0 - mean))
-            )
-            assert float(value) == pytest.approx(float(want), rel=1e-9)
+        """Central, far-upper, far-lower and doubly-underflowed means share one
+        call, so the tail pass must treat each element on its own."""
+        means = np.array([0.0, 0.7, -1.3, 6.0, 9.5, 30.0, -6.0, -9.5, -25.0, 40.0, -45.0])
+        var, lo, hi = 1.3, -0.8, 1.1
+        got = _log_interval_mass(means, var, lo, hi)
+        with mpmath.workdps(60):
+            sd = mpmath.sqrt(var)
+            for mean, value in zip(means, got):
+                a, b = (lo - mpmath.mpf(mean)) / sd, (hi - mpmath.mpf(mean)) / sd
+                if a + b > 0:  # difference the left tail, where nothing cancels
+                    a, b = -b, -a
+                want = max(float(mpmath.log(mpmath.ncdf(b) - mpmath.ncdf(a))), LOG_FLOOR)
+                assert float(value) == pytest.approx(want, rel=1e-9), mean
 
     def test_hopeless_interval_floors(self):
         got = float(_log_interval_mass(np.array([0.0]), 1.0, 40.0, 41.0)[0])
