@@ -248,6 +248,8 @@ def _cmd_pmmh(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     results = run_selftest(level=args.level, master_seed=args.seed, workers=args.workers)
     all_passed = True
     for result in results:

@@ -351,7 +351,8 @@ def run_selftest(level: str = _QUICK, master_seed: int = 20260815,
     if full:
         timed(lambda: check_lg_unbiasedness(master_seed, 2000, 200, 100, 500))
         timed(lambda: check_variance_reduction(master_seed, steps=50, n_particles=200,
-                                               replicates=100, repetitions=10, min_wins=9))
+                                               replicates=100, repetitions=10, min_wins=9,
+                                               workers=workers or 1))
         timed(lambda: check_grid_posterior(master_seed, iterations=100_000, tolerance=0.05))
         timed(lambda: check_sv_posterior_sampling(master_seed, iterations=5_000,
                                                   n_particles=50, steps=200, seeds=5,
@@ -360,7 +361,7 @@ def run_selftest(level: str = _QUICK, master_seed: int = 20260815,
         timed(lambda: check_lg_unbiasedness(master_seed, 500, 50, 50, 100))
         timed(lambda: check_variance_reduction(master_seed, steps=20, n_particles=50,
                                                replicates=20, repetitions=3, min_wins=2,
-                                               cap=100_000))
+                                               cap=100_000, workers=workers or 1))
         timed(lambda: check_grid_posterior(master_seed, iterations=4_000, tolerance=0.15))
         timed(lambda: check_sv_posterior_sampling(master_seed, iterations=120, n_particles=20,
                                                   steps=40, seeds=1, acf_slack=1.0,

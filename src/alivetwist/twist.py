@@ -24,6 +24,11 @@ The first step is one more transition, out of a fictitious time-0 state
 ``log_qh_alive`` or ``propose_guided_states`` means the next state is the
 initial draw plus one transition, and the masses come back 0-d.
 
+``GaussianLookaheadTwist`` derives every hook from one conjugate tilt of its
+Gaussian next-state law by the Gaussian h: ``log_qh`` is the normaliser and
+``_tilt`` the tilted moments; the alive acceptance mass enters at one line of
+``log_qh_alive``.
+
 The evaluation hooks must be mutually consistent (qh really is the
 transition integral of h); that consistency is what keeps the reweighted
 normalising-constant estimators unbiased, so it is property-tested rather
@@ -67,7 +72,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .models import DiscreteHmmParams, norm_logpdf
-from .rng import categorical, categorical_many, uniform_index
+from .rng import categorical_many, uniform_index
 from .smc import (
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
@@ -112,29 +117,23 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     stays well conditioned, so masses far out in either tail stay accurate
     instead of cancelling to zero.  Masses below 1e-300 floor at LOG_FLOOR.
     """
-    mean = np.asarray(mean, dtype=float)
     sd = math.sqrt(var)
-    if mean.size:
-        # branch on scalar extremes: (bound - m)/sd is monotone in m, so the
-        # elementwise |z| maxima sit at mean.min()/mean.max()
-        mn = float(mean.min())
-        mx = float(mean.max())
-        if (
-            max(abs((lo - mx) / sd), abs((lo - mn) / sd)) < 5.0
-            and max(abs((hi - mx) / sd), abs((hi - mn) / sd)) < 5.0
-        ):
-            # both endpoints well inside the CDF's working range: plain difference
-            a = (lo - mean) / sd
-            b = (hi - mean) / sd
-            return np.maximum(np.log(np.maximum(ndtr(b) - ndtr(a), 1e-300)), LOG_FLOOR)
-    a = (lo - mean) / sd
-    b = (hi - mean) / sd
-    # reflect each interval so its midpoint sits on the lower half-line: there
-    # the CDF keeps full relative precision down to the floor, so the plain
-    # difference needs no log-CDF to stay accurate
-    flip = a + b > 0
-    mass = ndtr(np.where(flip, -a, b)) - ndtr(np.where(flip, -b, a))
+    # x: the midpoint reflected onto the lower half-line, where the CDF keeps full
+    # relative precision down to the floor; halves summed so it cannot overflow
+    x = -np.abs((0.5 * lo + 0.5 * hi - np.asarray(mean, dtype=float)) / sd)
+    w = 0.5 * (hi - lo) / sd
+    mass = ndtr(x + w) - ndtr(x - w)
     return np.maximum(np.log(np.maximum(mass, 1e-300)), LOG_FLOOR)
+
+
+def _draw_proportional(stream: np.random.Generator, log_scores: np.ndarray):
+    """(index, log of the summed scores) for one draw proportional to
+    exp(log_scores); one shifted-exp pass serves both, and the index equals
+    ``rng.categorical``'s on the same stream."""
+    shift = float(log_scores.max())
+    cdf = np.cumsum(np.exp(log_scores - shift))
+    pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
+    return min(pick, cdf.size - 1), shift + math.log(float(cdf[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +171,33 @@ class GaussianLookaheadTwist:
     lag: int
 
     def __post_init__(self) -> None:
-        if self.nu2 <= 0:
-            raise ValueError(f"nu2 must be positive, got {self.nu2}")
-        if self.obs_var <= 0:
-            raise ValueError(f"obs_var must be positive, got {self.obs_var}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not 0 < self.nu2 < math.inf:
+            raise ValueError(f"nu2 must be positive and finite, got {self.nu2}")
+        if not 0 < self.obs_var < math.inf:
+            raise ValueError(f"obs_var must be positive and finite, got {self.obs_var}")
         if self.lag < 0:
             raise ValueError(f"lag must be nonnegative, got {self.lag}")
-        object.__setattr__(self, "_pvar_memo", {})
+        # (phi**lag, Var(Y_{t+lag} | K_t)) for every effective lag
+        object.__setattr__(self, "_lookahead", tuple(
+            (self.phi**lag, self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, lag))
+            for lag in range(self.lag + 1)
+        ))
 
-    def _effective_lag(self, y_window) -> int:
-        remaining = len(y_window) - 1
-        if remaining < 0:
+    def _window(self, y_window):
+        """(effective lag, phi**lag, predictive variance, target observation)."""
+        lag = min(self.lag, len(y_window) - 1)
+        if lag < 0:
             raise ValueError("empty observation window")
-        return min(self.lag, remaining)
-
-    def _predictive_var(self, lag: int) -> float:
-        var = self._pvar_memo.get(lag)
-        if var is None:
-            var = self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, lag)
-            self._pvar_memo[lag] = var
-        return var
+        return (lag, *self._lookahead[lag], float(y_window[lag]))
 
     def log_h(self, y_window, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
-        lag = self._effective_lag(y_window)
+        lag, scale, s2, target = self._window(y_window)
         if lag == 0:
             return np.zeros(k.shape)
-        target = float(y_window[lag])
-        return _clamped_log(norm_logpdf(target, self.phi**lag * k, self._predictive_var(lag)))
+        return _clamped_log(norm_logpdf(target, scale * k, s2))
 
     def _next_state_law(self, k):
         """Mean and variance of the next state: one transition out of ``k``, or
@@ -210,29 +208,30 @@ class GaussianLookaheadTwist:
 
     def log_qh(self, y_window, k) -> np.ndarray:
         mean, var = self._next_state_law(k)
-        lag = self._effective_lag(y_window)
+        lag, scale, s2, target = self._window(y_window)
         if lag == 0:
             return np.zeros(mean.shape)
-        scale = self.phi**lag
-        return _clamped_log(norm_logpdf(
-            float(y_window[lag]), scale * mean, self._predictive_var(lag) + scale**2 * var
-        ))
+        return _clamped_log(norm_logpdf(target, scale * mean, s2 + scale**2 * var))
 
-    def _twisted_moments(self, y_window, k):
-        """Mean array and shared variance of the next-state law reweighted by h."""
+    def _tilt(self, y_window, k):
+        """Mean array and shared variance of the next-state law out of ``k``
+        (None: the initial law) reweighted by h.
+
+        Every hook derives from this one conjugate tilt (h is Gaussian in the
+        next state): ``log_qh`` is its normaliser, ``propose_guided_states``
+        samples it, and the acceptance mass enters at one line of
+        ``log_qh_alive``, at its moments."""
         mean, var = self._next_state_law(k)
-        lag = self._effective_lag(y_window)
+        lag, scale, s2, target = self._window(y_window)
         if lag == 0:
             return mean, var
-        scale = self.phi**lag
-        s2 = self._predictive_var(lag)
         post_var = 1.0 / (1.0 / var + scale**2 / s2)
-        return (post_var / var) * mean + post_var * scale * float(y_window[lag]) / s2, post_var
+        return (post_var / var) * mean + post_var * scale * target / s2, post_var
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
         """``count`` iid next states out of ``k_anc`` (None: the initial draw
         plus one transition), reweighted by h."""
-        mean, var = self._twisted_moments(y_window, k_anc)
+        mean, var = self._tilt(y_window, k_anc)
         return float(mean) + math.sqrt(var) * stream.standard_normal(count)
 
     # -- acceptance-augmented hook for the alive twisted filter -------------
@@ -240,7 +239,8 @@ class GaussianLookaheadTwist:
     def log_qh_alive(self, y_window, k, kernel) -> np.ndarray:
         """log E[W * h] over the next state out of ``k`` plus one simulation."""
         lo, hi = kernel.interval(float(y_window[0]))
-        mean, var = self._twisted_moments(y_window, k)
+        mean, var = self._tilt(y_window, k)
+        # the acceptance mass: one simulated observation N(K', obs_var) lands in [lo, hi]
         mass = _log_interval_mass(mean, var + self.obs_var, lo, hi)
         return np.maximum(self.log_qh(y_window, k) + mass, LOG_FLOOR)
 
@@ -413,9 +413,9 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             )
             ancestors = None
         else:
-            log_qh_prev = twist.log_qh(y_window, prev.states)
-            guided_scores = prev.log_weights + log_qh_prev
-            guided_ancestor = categorical(stream, np.exp(guided_scores - guided_scores.max()))
+            guided_ancestor, log_scores_sum = _draw_proportional(
+                stream, prev.log_weights + twist.log_qh(y_window, prev.states)
+            )
             guided = twist.propose_guided_states(
                 prev.states[guided_ancestor], y_window, stream, 1
             )
@@ -424,7 +424,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             others = model.transition_sampler(prev.states[other_ancestors], stream)
             ancestors = _insert_scalar(other_ancestors, slot, guided_ancestor)
             # the previous pool's log-weight total is exactly last step's factor input
-            log_qh_sum = _logsumexp1d(guided_scores) - prev_total
+            log_qh_sum = log_scores_sum - prev_total
         states = _insert_scalar(others, slot, guided[0])
         log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
         total = _logsumexp1d(log_weights)
@@ -532,14 +532,11 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             )
             propose_latents = latent_proposer(model)
         else:
-            log_qh_prev = twist.log_qh_alive(y_window, accepted_states, kernel)
-            # one shifted-exp pass serves both the ancestor draw and the numerator
-            shift = float(log_qh_prev.max())
-            cdf = np.cumsum(np.exp(log_qh_prev - shift))
-            pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
-            guided_ancestor = int(accepted_idx[min(pick, accepted_idx.size - 1)])
+            pick, log_numerator = _draw_proportional(
+                stream, twist.log_qh_alive(y_window, accepted_states, kernel)
+            )
+            guided_ancestor = int(accepted_idx[pick])
             guided_anchor = prev.states[guided_ancestor]
-            log_numerator = shift + math.log(float(cdf[-1]))
             propose_latents = latent_proposer(model, prev.states, accepted_idx)
 
         def propose_guided(stream, count):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alivetwist import cli
+from alivetwist import cli, selftest
 from alivetwist.configs import parse_model
 from alivetwist.models import simulate
 from alivetwist.rng import SeedSpec, derive_stream
@@ -450,6 +450,28 @@ class TestSelftestWiring:
         assert cli.main(["selftest", "--level", "full", "--seed", "99",
                          "--workers", "2"]) == 0
         assert seen == {"level": "full", "master_seed": 99, "workers": 2}
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_1(self, monkeypatch, capsys, workers):
+        monkeypatch.setattr(cli, "run_selftest", lambda **kwargs: pytest.fail("checks ran"))
+        assert cli.main(["selftest", "--workers", workers]) == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+    def test_workers_reach_the_variance_check(self, monkeypatch):
+        seen = []
+
+        def fake_grid(config, master_seed, workers=1):
+            seen.append(workers)
+            return [{"status": "ok", "log_var_diff": 1.0}]
+
+        monkeypatch.setattr(selftest, "variance_grid", fake_grid)
+        for name in ("check_stopping_time_mean", "check_discrete_unbiasedness",
+                     "check_lg_unbiasedness", "check_grid_posterior",
+                     "check_sv_posterior_sampling"):
+            monkeypatch.setattr(selftest, name,
+                                lambda *args, name=name, **kwargs: CheckResult(name, True, ""))
+        assert cli.main(["selftest", "--workers", "3"]) == 0
+        assert seen == [3, 3, 3]  # one variance grid per quick-level repetition
 
 
 class TestEntryPoint:

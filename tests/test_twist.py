@@ -28,7 +28,9 @@ from alivetwist import (
     sample_until_alive,
     sv_twist,
 )
-from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _log_interval_mass
+from alivetwist.rng import categorical
+from alivetwist.smc import _logsumexp1d
+from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _draw_proportional, _log_interval_mass
 
 from helpers import stream_for
 
@@ -73,6 +75,11 @@ class TestValidationAndTruncation:
             GaussianLookaheadTwist(phi=0.8, nu2=1.0, obs_var=0.0, lag=1)
         with pytest.raises(ValueError):
             GaussianLookaheadTwist(phi=0.8, nu2=1.0, obs_var=1.0, lag=-1)
+        for phi, nu2, obs_var in [(0.9, math.nan, 1.0), (0.9, 1.0, math.nan),
+                                  (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                  (0.9, math.inf, 1.0), (0.9, 1.0, math.inf)]:
+            with pytest.raises(ValueError):
+                GaussianLookaheadTwist(phi=phi, nu2=nu2, obs_var=obs_var, lag=2)
 
     def test_lag_truncates_to_remaining_horizon(self):
         twist = _twist()
@@ -282,7 +289,10 @@ class TestIntervalMass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _log_interval_mass(np.array([0.0, 1.0]), 2.0, 1e200 - 1.5, 1e200 + 1.5)
+            # a certain interval near the float maximum, whose lo + hi overflows
+            near_max = _log_interval_mass(np.array([1.6e308]), 1e300, 1.5e308, 1.7e308)
         np.testing.assert_array_equal(got, [LOG_FLOOR, LOG_FLOOR])
+        assert float(near_max[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_input(self):
         assert _log_interval_mass(np.array([]), 1.0, -1.0, 1.0).size == 0
@@ -293,6 +303,18 @@ class TestIntervalMass:
         got = _log_interval_mass(np.zeros(()), 1.0, lo, hi)
         assert np.ndim(got) == 0
         assert float(got) == float(_log_interval_mass(np.zeros(1), 1.0, lo, hi)[0])
+
+
+class TestDrawProportional:
+    @pytest.mark.parametrize("size", [1, 7, 2000])
+    def test_matches_categorical_and_logsumexp(self, size):
+        for seed in range(20):
+            log_scores = 30.0 * stream_for(250 + size, seed).standard_normal(size)
+            log_scores[::3] = LOG_FLOOR
+            index, log_total = _draw_proportional(stream_for(251, seed), log_scores)
+            weights = np.exp(log_scores - log_scores.max())
+            assert index == categorical(stream_for(251, seed), weights)
+            assert log_total == pytest.approx(_logsumexp1d(log_scores), rel=0, abs=1e-12)
 
 
 class TestGuidedPair:
