@@ -17,7 +17,6 @@ from .models import (
     discrete_abc_log_marginal,
     discrete_model,
     kalman_log_marginal,
-    kalman_scan,
     lg_model,
     simulate,
     stable_sample,
@@ -96,7 +95,6 @@ __all__ = [
     "discrete_abc_log_marginal",
     "discrete_model",
     "kalman_log_marginal",
-    "kalman_scan",
     "lg_model",
     "lg_twist",
     "pmmh_step",

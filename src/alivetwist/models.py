@@ -126,10 +126,6 @@ class DiscreteHmmParams:
     def n_states(self) -> int:
         return self.initial.shape[0]
 
-    @property
-    def n_symbols(self) -> int:
-        return self.emission.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # the model bundle
@@ -264,8 +260,8 @@ def _stable_angle_scale(alpha: float, beta: float):
 
 
 def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
-                  delta: float = 0.0, size=None):
-    """Stable-law variates via the Chambers-Mallows-Stuck transform.
+                  delta: float = 0.0, *, size):
+    """An array of ``size`` stable-law variates via the Chambers-Mallows-Stuck transform.
 
     Uses the continuous-at-alpha=1 angle construction and then applies the
     classical location/scale convention in which, for alpha > 1, delta is the
@@ -279,9 +275,8 @@ def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
 
-    n = 1 if size is None else size
-    u = (stream.random(n) - 0.5) * np.pi
-    w = stream.exponential(1.0, n)
+    u = (stream.random(size) - 0.5) * np.pi
+    w = stream.exponential(1.0, size)
 
     if alpha == 1.0:
         half_pi = math.pi / 2.0
@@ -299,7 +294,7 @@ def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
         )
         out = gamma * x + delta
 
-    return float(out[0]) if size is None else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +302,10 @@ def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def kalman_scan(params: LinearGaussianParams, observations, state=None):
-    """Exact log marginal likelihood contribution of a block of observations.
-
-    ``state`` is the (predictive mean, predictive variance) pair for the next
-    unseen observation; passing the returned state back in with the next
-    block gives exactly the same total as one pass over the concatenation.
-    """
+def kalman_log_marginal(params: LinearGaussianParams, observations) -> float:
+    """Exact log p(y_1..y_T) for the linear-Gaussian model."""
     phi, nu2, tau2 = params.phi, params.nu2, params.tau2
-    if state is None:
-        mean, var = 0.0, phi * phi * nu2 + nu2
-    else:
-        mean, var = state
+    mean, var = 0.0, phi * phi * nu2 + nu2
     loglik = 0.0
     for y in np.asarray(observations, dtype=float):
         innov_var = var + tau2
@@ -328,12 +315,7 @@ def kalman_scan(params: LinearGaussianParams, observations, state=None):
         var_f = (1.0 - gain) * var
         mean = phi * mean_f
         var = phi * phi * var_f + nu2
-    return loglik, (mean, var)
-
-
-def kalman_log_marginal(params: LinearGaussianParams, observations) -> float:
-    """Exact log p(y_1..y_T) for the linear-Gaussian model."""
-    return kalman_scan(params, observations)[0]
+    return loglik
 
 
 def discrete_abc_log_marginal(params: DiscreteHmmParams, observations) -> float:

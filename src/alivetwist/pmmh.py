@@ -175,44 +175,33 @@ class PmmhState:
     log_prior: float
     log_zhat: float
     path: np.ndarray
-    iteration: int = 0
 
 
 @dataclass
 class StepInfo:
     accepted: bool
     cap_exceeded: bool
-    proposed: object
     log_ratio: float
 
 
 def pmmh_step(state: PmmhState, run_filter, log_prior_fn, propose_fn,
               stream: np.random.Generator):
-    """One accept/reject transition of the pseudo-marginal chain."""
+    """One accept/reject transition of the pseudo-marginal chain; a rejection
+    returns ``state`` itself."""
     proposed, log_correction = propose_fn(state.theta, stream)
     log_prior = log_prior_fn(proposed)
-    accepted = False
-    cap_exceeded = False
-    log_ratio = float("-inf")
-    next_state = None
-    if log_prior > float("-inf"):
-        try:
-            generations, estimate = run_filter(proposed, stream)
-        except StoppingTimeCapError:
-            cap_exceeded = True
-        else:
-            path = select_path(generations, stream)
-            log_ratio = (
-                log_prior - state.log_prior + log_correction
-                + estimate.log_total - state.log_zhat
-            )
-            if math.log(stream.random()) < log_ratio:
-                accepted = True
-                next_state = PmmhState(proposed, log_prior, estimate.log_total, path)
-    if next_state is None:
-        next_state = PmmhState(state.theta, state.log_prior, state.log_zhat, state.path)
-    next_state.iteration = state.iteration + 1
-    return next_state, StepInfo(accepted, cap_exceeded, proposed, log_ratio)
+    if not log_prior > float("-inf"):
+        return state, StepInfo(False, False, float("-inf"))
+    try:
+        generations, estimate = run_filter(proposed, stream)
+    except StoppingTimeCapError:
+        return state, StepInfo(False, True, float("-inf"))
+    path = select_path(generations, stream)
+    log_ratio = log_prior - state.log_prior + log_correction + estimate.log_total - state.log_zhat
+    if math.log(stream.random()) < log_ratio:
+        accepted = PmmhState(proposed, log_prior, estimate.log_total, path)
+        return accepted, StepInfo(True, False, log_ratio)
+    return state, StepInfo(False, False, log_ratio)
 
 
 @dataclass
@@ -232,20 +221,22 @@ class ChainRecord:
         return np.array([getattr(theta, name) for theta in self.thetas], dtype=float)
 
 
+INIT_ATTEMPTS = 100  # prior draws tried for a chain's initial state
+
+
 def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
-              iterations: int, stream: np.random.Generator,
-              init_attempts: int = 100) -> ChainRecord:
+              iterations: int, stream: np.random.Generator) -> ChainRecord:
     """Run the pseudo-marginal chain for ``iterations`` transitions.
 
     The initial parameter is drawn from the prior; prior draws whose filter
-    run exhausts the proposal cap are redrawn up to ``init_attempts`` times,
+    run exhausts the proposal cap are redrawn up to ``INIT_ATTEMPTS`` times,
     then ChainStartError is raised.
     Row 0 of the record is the initial state.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     state = None
-    for _ in range(init_attempts):
+    for _ in range(INIT_ATTEMPTS):
         theta0 = sample_prior_fn(stream)
         log_prior0 = log_prior_fn(theta0)
         if log_prior0 == float("-inf"):
@@ -258,7 +249,7 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         state = PmmhState(theta0, log_prior0, estimate.log_total, path0)
         break
     if state is None:
-        raise ChainStartError(f"no viable initial parameter found in {init_attempts} prior draws")
+        raise ChainStartError(f"no viable initial parameter found in {INIT_ATTEMPTS} prior draws")
 
     thetas = [state.theta]
     log_zhats = [state.log_zhat]

@@ -51,23 +51,13 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def gaussian(stream: np.random.Generator, mean: float, variance: float, size=None):
-    """Draw N(mean, variance) variates; variance 0 returns the mean exactly."""
+def gaussian(stream: np.random.Generator, mean: float, variance: float) -> float:
+    """One N(mean, variance) variate; variance 0 returns the mean exactly."""
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if variance == 0:
-        if size is None:
-            return float(mean)
-        return np.full(size, float(mean))
-    draw = mean + np.sqrt(variance) * stream.standard_normal(size)
-    return float(draw) if size is None else draw
-
-
-def uniform_index(stream: np.random.Generator, n: int) -> int:
-    """Uniform draw from {0, ..., n-1}."""
-    if n <= 0:
-        raise ValueError(f"need a positive number of options, got {n}")
-    return int(stream.integers(n))
+        return float(mean)
+    return float(mean + np.sqrt(variance) * stream.standard_normal())
 
 
 def _check_weights(weights: np.ndarray) -> np.ndarray:

@@ -69,10 +69,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .models import DiscreteHmmParams, norm_logpdf
-from .rng import categorical_many, uniform_index
+from .rng import categorical_many
 from .smc import (
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
@@ -108,6 +107,13 @@ def _insert_scalar(arr: np.ndarray, slot: int, value) -> np.ndarray:
     out[slot] = value
     out[slot + 1 :] = arr[slot:]
     return out
+
+
+def ndtr(x):
+    """``scipy.special.ndtr``, rebound on first call so the package imports no scipy."""
+    global ndtr
+    from scipy.special import ndtr
+    return ndtr(x)
 
 
 def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
@@ -171,25 +177,36 @@ class GaussianLookaheadTwist:
     lag: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not math.isfinite(self.phi * self.phi):
+            raise ValueError(f"phi must be finite with a finite square, got {self.phi}")
         if not 0 < self.nu2 < math.inf:
             raise ValueError(f"nu2 must be positive and finite, got {self.nu2}")
         if not 0 < self.obs_var < math.inf:
             raise ValueError(f"obs_var must be positive and finite, got {self.obs_var}")
         if self.lag < 0:
             raise ValueError(f"lag must be nonnegative, got {self.lag}")
-        # (phi**lag, Var(Y_{t+lag} | K_t)) for every effective lag
-        object.__setattr__(self, "_lookahead", tuple(
-            (self.phi**lag, self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, lag))
-            for lag in range(self.lag + 1)
-        ))
+        # (phi**lag, Var(Y_{t+lag} | K_t)) up to the longest effective lag used so far
+        object.__setattr__(self, "_lookahead", ())
 
     def _window(self, y_window):
         """(effective lag, phi**lag, predictive variance, target observation)."""
         lag = min(self.lag, len(y_window) - 1)
         if lag < 0:
             raise ValueError("empty observation window")
+        if lag >= len(self._lookahead):
+            try:
+                table = tuple(
+                    (self.phi**j, self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, j))
+                    for j in range(lag + 1)
+                )
+                # overflow shows first at the longest lag
+                finite = math.isfinite(table[-1][0] ** 2 + table[-1][1])
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"lookahead constants phi**lag and Var(Y_(t+lag) | K_t) "
+                                 f"overflow a float at lag {lag} (phi {self.phi})")
+            object.__setattr__(self, "_lookahead", table)
         return (lag, *self._lookahead[lag], float(y_window[lag]))
 
     def log_h(self, y_window, k) -> np.ndarray:
@@ -404,7 +421,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     for t in range(observations.size):
         y = observations[t]
         y_window = observations[t:]
-        slot = uniform_index(stream, n_particles)
+        slot = int(stream.integers(n_particles))
         if prev is None:
             guided = twist.propose_guided_states(None, y_window, stream, 1)
             log_qh_sum = float(twist.log_qh(y_window, None))

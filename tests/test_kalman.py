@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from alivetwist import LinearGaussianParams, kalman_log_marginal, lg_model, simulate
-from alivetwist.models import kalman_scan, norm_logpdf
+from alivetwist.models import norm_logpdf
 
 from helpers import stream_for
 
@@ -59,25 +57,6 @@ def test_single_observation_closed_form():
     assert kalman_log_marginal(params, [y]) == pytest.approx(expected, rel=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    phi=st.floats(-1.2, 1.2),
-    nu2=st.floats(0.05, 5.0),
-    tau2=st.floats(0.05, 5.0),
-    split=st.integers(1, 11),
-    seed=st.integers(0, 2**32),
-)
-def test_scan_is_additive_over_blocks(phi, nu2, tau2, split, seed):
-    params = LinearGaussianParams(phi=phi, nu2=nu2, tau2=tau2)
-    observations = stream_for(seed % (2**32), 3).standard_normal(12)
-    total, _ = kalman_scan(params, observations)
-    head, state = kalman_scan(params, observations[:split])
-    tail, _ = kalman_scan(params, observations[split:], state=state)
-    assert head + tail == pytest.approx(total, rel=1e-10, abs=1e-10)
-
-
 def test_empty_block_is_identity():
     params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
-    loglik, state = kalman_scan(params, [])
-    assert loglik == 0.0
-    assert state == (0.0, 0.9**2 * 1.0 + 1.0)
+    assert kalman_log_marginal(params, []) == 0.0

@@ -54,7 +54,7 @@ class TestParamValidation:
             emission=[[0.7, 0.3], [0.4, 0.6]],
             acceptance=np.eye(2, dtype=bool),
         )
-        assert good.n_states == 2 and good.n_symbols == 2
+        assert good.n_states == 2
         with pytest.raises(ValueError):
             DiscreteHmmParams(
                 initial=[0.5, 0.5],

@@ -215,7 +215,7 @@ class TestPmmhStep:
         assert stream.exhausted()
         assert info.accepted and not info.cap_exceeded
         assert info.log_ratio == pytest.approx(2.0)
-        assert state.theta == 1 and state.log_zhat == 2.0 and state.iteration == 1
+        assert state.theta == 1 and state.log_zhat == 2.0
         np.testing.assert_array_equal(state.path, [5.0])
 
     def test_reject_branch_keeps_the_state(self):
@@ -227,9 +227,7 @@ class TestPmmhStep:
         assert stream.exhausted()
         assert not info.accepted
         assert info.log_ratio == pytest.approx(-5.0)
-        assert state.theta == before.theta and state.log_zhat == before.log_zhat
-        assert state.path is before.path
-        assert state.iteration == 1
+        assert state is before
 
     def test_cap_counts_as_rejection(self):
         def run(theta, stream):
@@ -239,7 +237,7 @@ class TestPmmhStep:
         state, info = pmmh_step(self._state(), run, lambda t: 0.0, lambda t, s: (1, 0.0), stream)
         assert stream.exhausted()
         assert info.cap_exceeded and not info.accepted
-        assert state.theta == 0 and state.iteration == 1
+        assert state.theta == 0
 
     def test_impossible_prior_skips_the_filter(self):
         calls = []
@@ -293,7 +291,7 @@ class TestRunChain:
 
         with pytest.raises(RuntimeError):
             run_chain(run, lambda t: 0.0, lambda t, s: (t, 0.0), lambda s: 1,
-                      0, stream_for(311), init_attempts=5)
+                      0, stream_for(311))
 
     def test_impossible_prior_never_runs_the_filter(self):
         def run(theta, stream):
@@ -301,7 +299,7 @@ class TestRunChain:
 
         with pytest.raises(RuntimeError):
             run_chain(run, lambda t: float("-inf"), lambda t, s: (t, 0.0),
-                      lambda s: 1, 0, stream_for(312), init_attempts=10)
+                      lambda s: 1, 0, stream_for(312))
 
     def test_theta_field(self):
         thetas = [SvTheta(0.1, 0.2, 0.3), SvTheta(0.4, 0.5, 0.6)]

@@ -77,7 +77,8 @@ class TestValidationAndTruncation:
             GaussianLookaheadTwist(phi=0.8, nu2=1.0, obs_var=1.0, lag=-1)
         for phi, nu2, obs_var in [(0.9, math.nan, 1.0), (0.9, 1.0, math.nan),
                                   (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
-                                  (0.9, math.inf, 1.0), (0.9, 1.0, math.inf)]:
+                                  (0.9, math.inf, 1.0), (0.9, 1.0, math.inf),
+                                  (1e155, 1.0, 1.0)]:  # phi**2 overflows
             with pytest.raises(ValueError):
                 GaussianLookaheadTwist(phi=phi, nu2=nu2, obs_var=obs_var, lag=2)
 

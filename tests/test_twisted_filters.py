@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -363,6 +364,24 @@ class TestAliveTwistedDiscrete:
                 for rep in range(800)
             ])
             assert monte_carlo_z(estimates, truth) < 3.0, name
+
+
+class TestLookaheadTable:
+    def test_huge_lag_tabulates_only_the_lags_a_record_reaches(self):
+        """The effective lag never exceeds T - 1, so lag 10**6 costs no more
+        to build than lag T - 1 and gives bit-identical estimates."""
+        start = time.perf_counter()
+        huge = lg_twist(PARAMS, 10**6)
+        assert time.perf_counter() - start < 0.05
+        model = lg_model(PARAMS)
+        _, observations = simulate(model, 50, stream_for(292))
+        kernel = AbcKernel(epsilon=1.5, mode="relative")
+        for run in (
+            lambda h, s: alive_twisted_filter(model, kernel, h, observations, 20, stream=s),
+            lambda h, s: twisted_bootstrap_filter(model, h, observations, 20, stream=s),
+        ):
+            assert (run(huge, stream_for(293))[1].log_total
+                    == run(lg_twist(PARAMS, 49), stream_for(293))[1].log_total)
 
 
 class TestTwistProtocol:
