@@ -175,17 +175,7 @@ def _cmd_variance_grid(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
     rows = variance_grid(config, args.seed, workers=args.workers)
-    _write_csv(
-        args.out,
-        ["nu2", "tau2", "status", "log_var_alive", "log_var_twisted", "log_var_diff", "reason"],
-        [
-            (
-                row["nu2"], row["tau2"], row["status"], row["log_var_alive"],
-                row["log_var_twisted"], row["log_var_diff"], row["reason"],
-            )
-            for row in rows
-        ],
-    )
+    _write_csv(args.out, list(rows[0]), [row.values() for row in rows])
     return 0
 
 

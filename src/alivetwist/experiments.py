@@ -48,6 +48,15 @@ def log_sample_variance(log_values) -> Optional[float]:
     return 2.0 * shift + float(np.log(variance))
 
 
+def parallel_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+    """``[fn(task) for task in tasks]``, spread over ``workers`` processes when
+    there is more than one; ``fn`` must be top-level so the pool can pickle it."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(task) for task in tasks]
+
+
 def _grid_replicate(args):
     """One filter replicate of one grid cell; top-level so pools can pickle it."""
     config, master_seed, stream_id, nu2, tau2, observations, algo = args
@@ -87,11 +96,7 @@ def variance_grid(config: GridConfig, master_seed: int, workers: int = 1) -> Lis
             tasks.append((config, master_seed, base, nu2, tau2, observations, "alive"))
             tasks.append((config, master_seed, base + 1, nu2, tau2, observations, "alive-twisted"))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_grid_replicate, tasks, chunksize=8))
-    else:
-        outcomes = [_grid_replicate(task) for task in tasks]
+    outcomes = parallel_map(_grid_replicate, tasks, workers, chunksize=8)
 
     rows = []
     per_cell = 2 * config.replicates

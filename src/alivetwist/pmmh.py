@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from .rng import categorical, gaussian
+from .rng import gaussian, log_categorical
 from .smc import BootstrapGeneration, ParticleGeneration, StoppingTimeCapError
 
 
@@ -155,7 +155,7 @@ def select_path(generations, stream: np.random.Generator) -> np.ndarray:
         candidates = np.flatnonzero(final.weights[: final.stopping_time - 1] == 1)
         index = int(candidates[stream.integers(0, candidates.size)])
     elif isinstance(final, BootstrapGeneration):
-        index = categorical(stream, np.exp(final.log_weights - final.log_weights.max()))
+        index, _ = log_categorical(stream, final.log_weights)
     else:
         raise TypeError(f"unsupported generation type {type(final)!r}")
     path = np.empty(len(generations), dtype=np.asarray(final.states).dtype)

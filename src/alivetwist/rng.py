@@ -10,6 +10,7 @@ its own stream id and never shares generator state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,13 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def categorical(stream: np.random.Generator, weights) -> int:
-    """Single index draw with probability proportional to ``weights``."""
-    weights = _check_weights(weights)
-    cdf = np.cumsum(weights)
-    u = stream.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right"))
+def log_categorical(stream: np.random.Generator, log_weights: np.ndarray):
+    """(index, log of the summed weights) for one draw proportional to
+    exp(log_weights); one shifted-exp pass serves both."""
+    shift = float(log_weights.max())
+    cdf = np.cumsum(np.exp(log_weights - shift))
+    pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
+    return min(pick, cdf.size - 1), shift + math.log(float(cdf[-1]))
 
 
 def categorical_many(stream: np.random.Generator, weights, size: int) -> np.ndarray:

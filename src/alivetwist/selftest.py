@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
-from .configs import GridConfig, PmmhConfig
-from .experiments import run_sv_pmmh, variance_grid
+from .configs import GridConfig, PmmhConfig, filter_algo
+from .experiments import parallel_map, run_sv_pmmh, variance_grid
 from .kernels import DiscreteBallKernel
 from .models import (
     DiscreteHmmParams,
@@ -36,15 +36,13 @@ from .models import (
     sv_model,
 )
 from .pmmh import acf, run_chain
-from .rng import SeedSpec, categorical, derive_stream
-from .smc import alive_filter, bootstrap_filter, sample_until_alive
+from .rng import SeedSpec, categorical_many, derive_stream
+from .smc import alive_filter, sample_until_alive
 from .twist import (
     acceptance_prob_twist,
-    alive_twisted_filter,
     constant_twist,
     lg_twist,
     random_positive_twist,
-    twisted_bootstrap_filter,
 )
 
 
@@ -65,61 +63,70 @@ class _ThresholdKernel:
         return (np.asarray(simulated) < self.rate).astype(np.int64)
 
 
-def check_stopping_time_mean(master_seed: int, reps: int, n_particles: int = 10,
-                             rates=(0.1, 0.3, 0.7)) -> CheckResult:
-    """The per-step factor (N-1)/(T-1) is unbiased for the acceptance rate."""
-    details = []
-    passed = True
-    for which, rate in enumerate(rates):
-        stream = derive_stream(SeedSpec(master_seed, which))
-        kernel = _ThresholdKernel(rate)
-        hint = int(np.ceil(2.6 * n_particles / rate))
-
-        def propose(stream, count):
-            return {"pseudo_obs": stream.random(count)}
-
-        values = np.empty(reps)
-        for rep in range(reps):
-            _, stopping_time = sample_until_alive(
-                propose, kernel, None, n_particles, 10_000_000, stream, batch_hint=hint
-            )
-            values[rep] = (n_particles - 1) / (stopping_time - 1)
+def _replicate_means(name: str, cases) -> CheckResult:
+    """Each case (template, draw, stream, reps, target) passes when the mean of
+    ``reps`` values ``draw(stream)`` lies within three standard errors of
+    ``target``; values with zero spread pass only if their mean is the target.
+    ``template`` formats the case's detail from ``mean`` and ``target``."""
+    passed, details = True, []
+    for template, draw, stream, reps, target in cases:
+        values = np.array([draw(stream) for _ in range(reps)])
         mean = float(values.mean())
         se = float(values.std(ddof=1) / np.sqrt(reps))
-        z = abs(mean - rate) / se
+        z = abs(mean - target) / se if se > 0 else (0.0 if mean == target else np.inf)
         passed = passed and z <= 3.0
-        details.append(f"rate {rate}: mean {mean:.5f} (z = {z:.2f})")
-    return CheckResult("stopping-time factor unbiased", passed, "; ".join(details))
+        details.append(template.format(mean=mean, target=target) + f" (z = {z:.2f})")
+    return CheckResult(name, passed, "; ".join(details))
 
 
-def toy_discrete_instance(master_seed: int, steps: int = 5, n_states: int = 3,
-                          n_symbols: int = 3, acceptance: Optional[np.ndarray] = None):
-    """A seeded random finite-state instance plus one simulated record."""
+def _estimate(algo, model, kernel, twist, observations, n_particles, stream, log_target=0.0):
+    """One ``algo`` run's normalising-constant estimate over exp(log_target)."""
+    _, estimate = filter_algo(algo).run(
+        model, kernel, twist, observations, n_particles, 100_000, stream
+    )
+    return np.exp(estimate.log_total - log_target)
+
+
+def check_stopping_time_mean(master_seed: int, reps: int) -> CheckResult:
+    """The per-step factor (N-1)/(T-1) is unbiased for the acceptance rate."""
+    n_particles = 10
+
+    def factor(rate, stream):
+        _, stopping_time = sample_until_alive(
+            lambda stream, count: {"pseudo_obs": stream.random(count)}, _ThresholdKernel(rate),
+            None, n_particles, 10_000_000, stream,
+            batch_hint=int(np.ceil(2.6 * n_particles / rate)),
+        )
+        return (n_particles - 1) / (stopping_time - 1)
+
+    return _replicate_means("stopping-time factor unbiased", [
+        ("rate {target}: mean {mean:.5f}", partial(factor, rate),
+         derive_stream(SeedSpec(master_seed, which)), reps, rate)
+        for which, rate in enumerate((0.1, 0.3, 0.7))
+    ])
+
+
+def toy_discrete_instance(master_seed: int, steps: int = 5,
+                          acceptance: Optional[np.ndarray] = None):
+    """A seeded random three-state, three-symbol instance plus one simulated record."""
     stream = derive_stream(SeedSpec(master_seed, 0))
-    initial = stream.dirichlet(np.ones(n_states))
-    transition = stream.dirichlet(np.ones(n_states), size=n_states)
-    emission = stream.dirichlet(np.ones(n_symbols), size=n_states)
+    initial = stream.dirichlet(np.ones(3))
+    transition = stream.dirichlet(np.ones(3), size=3)
+    emission = stream.dirichlet(np.ones(3), size=3)
     if acceptance is None:
-        acceptance = np.eye(n_symbols, dtype=bool) | (stream.random((n_symbols, n_symbols)) < 0.4)
+        acceptance = np.eye(3, dtype=bool) | (stream.random((3, 3)) < 0.4)
     params = DiscreteHmmParams(initial, transition, emission, acceptance)
     model = discrete_model(params)
     _, observations = simulate(model, steps, derive_stream(SeedSpec(master_seed, 1)))
     return params, model, observations.astype(np.int64)
 
 
-def _mean_matches(estimates: np.ndarray, target: float):
-    mean = float(estimates.mean())
-    se = float(estimates.std(ddof=1) / np.sqrt(estimates.size))
-    z = abs(mean - target) / se if se > 0 else np.inf
-    return z <= 3.0, mean, z
-
-
-def check_discrete_unbiasedness(master_seed: int, reps: int, n_particles: int = 20,
-                                steps: int = 5) -> CheckResult:
+def check_discrete_unbiasedness(master_seed: int, reps: int) -> CheckResult:
     """Both alive filters hit the exact finite-state acceptance marginal."""
-    params, model, observations = toy_discrete_instance(master_seed, steps=steps)
+    params, model, observations = toy_discrete_instance(master_seed)
     kernel = DiscreteBallKernel(params.acceptance)
     target = float(np.exp(discrete_abc_log_marginal(params, observations)))
+    steps = observations.size
     twists = {
         "constant": constant_twist(steps, params),
         "random-positive": random_positive_twist(
@@ -127,72 +134,42 @@ def check_discrete_unbiasedness(master_seed: int, reps: int, n_particles: int = 
         ),
         "acceptance-prob": acceptance_prob_twist(params, observations, lag=2),
     }
-    details = []
-    passed = True
-
-    stream = derive_stream(SeedSpec(master_seed, 3))
-    plain = np.empty(reps)
-    for rep in range(reps):
-        _, estimate = alive_filter(model, kernel, observations, n_particles, 100_000, stream)
-        plain[rep] = np.exp(estimate.log_total)
-    good, mean, z = _mean_matches(plain, target)
-    passed = passed and good
-    details.append(f"alive: mean {mean:.5f} vs {target:.5f} (z = {z:.2f})")
-
+    cases = [("alive: mean {mean:.5f} vs {target:.5f}",
+              partial(_estimate, "alive", model, kernel, None, observations, 20),
+              derive_stream(SeedSpec(master_seed, 3)), reps, target)]
     for position, (label, twist) in enumerate(twists.items()):
-        stream = derive_stream(SeedSpec(master_seed, 4 + position))
-        values = np.empty(reps)
-        for rep in range(reps):
-            _, estimate = alive_twisted_filter(
-                model, kernel, twist, observations, n_particles, 100_000, stream
-            )
-            values[rep] = np.exp(estimate.log_total)
-        good, mean, z = _mean_matches(values, target)
-        passed = passed and good
-        details.append(f"twisted[{label}]: mean {mean:.5f} (z = {z:.2f})")
-    return CheckResult("finite-state marginal unbiased", passed, "; ".join(details))
+        cases.append((f"twisted[{label}]: mean {{mean:.5f}}",
+                      partial(_estimate, "alive-twisted", model, kernel, twist, observations, 20),
+                      derive_stream(SeedSpec(master_seed, 4 + position)), reps, target))
+    return _replicate_means("finite-state marginal unbiased", cases)
 
 
 def check_lg_unbiasedness(master_seed: int, bootstrap_particles: int, bootstrap_reps: int,
-                          twisted_particles: int, twisted_reps: int, lag: int = 5,
-                          steps: int = 20) -> CheckResult:
+                          twisted_particles: int, twisted_reps: int) -> CheckResult:
     """Both density filters hit the exact Gaussian marginal likelihood."""
     params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
     model = lg_model(params)
-    _, observations = simulate(model, steps, derive_stream(SeedSpec(master_seed, 0)))
+    _, observations = simulate(model, 20, derive_stream(SeedSpec(master_seed, 0)))
     log_target = kalman_log_marginal(params, observations)
-    details = []
-    passed = True
-
-    stream = derive_stream(SeedSpec(master_seed, 1))
-    ratios = np.empty(bootstrap_reps)
-    for rep in range(bootstrap_reps):
-        _, estimate = bootstrap_filter(model, observations, bootstrap_particles, stream)
-        ratios[rep] = np.exp(estimate.log_total - log_target)
-    good, mean, z = _mean_matches(ratios, 1.0)
-    passed = passed and good
-    details.append(f"bootstrap: mean ratio {mean:.4f} (z = {z:.2f})")
-
-    twist = lg_twist(params, lag)
-    stream = derive_stream(SeedSpec(master_seed, 2))
-    ratios = np.empty(twisted_reps)
-    for rep in range(twisted_reps):
-        _, estimate = twisted_bootstrap_filter(model, twist, observations, twisted_particles, stream)
-        ratios[rep] = np.exp(estimate.log_total - log_target)
-    good, mean, z = _mean_matches(ratios, 1.0)
-    passed = passed and good
-    details.append(f"twisted bootstrap: mean ratio {mean:.4f} (z = {z:.2f})")
-    return CheckResult("Gaussian marginal unbiased", passed, "; ".join(details))
+    return _replicate_means("Gaussian marginal unbiased", [
+        ("bootstrap: mean ratio {mean:.4f}",
+         partial(_estimate, "bootstrap", model, None, None, observations, bootstrap_particles,
+                 log_target=log_target),
+         derive_stream(SeedSpec(master_seed, 1)), bootstrap_reps, 1.0),
+        ("twisted bootstrap: mean ratio {mean:.4f}",
+         partial(_estimate, "twisted-bootstrap", model, None, lg_twist(params, 5), observations,
+                 twisted_particles, log_target=log_target),
+         derive_stream(SeedSpec(master_seed, 2)), twisted_reps, 1.0),
+    ])
 
 
 def check_variance_reduction(master_seed: int, steps: int, n_particles: int,
                              replicates: int, repetitions: int, min_wins: int,
-                             epsilon: float = 1.5, lag: int = 5,
                              cap: int = 1_000_000, workers: int = 1) -> CheckResult:
     """The twisted alive filter has lower estimator variance than the plain one."""
     config = GridConfig(
         phi=0.9, nu2_values=[1.0], tau2_values=[1.0], replicates=replicates,
-        steps=steps, n_particles=n_particles, epsilon=epsilon, lag=lag,
+        steps=steps, n_particles=n_particles, epsilon=1.5, lag=5,
         cap=cap, mode="relative",
     )
     wins = 0
@@ -215,8 +192,7 @@ def check_variance_reduction(master_seed: int, steps: int, n_particles: int,
     )
 
 
-def check_grid_posterior(master_seed: int, iterations: int, tolerance: float,
-                         n_particles: int = 10, steps: int = 4) -> CheckResult:
+def check_grid_posterior(master_seed: int, iterations: int, tolerance: float) -> CheckResult:
     """The pseudo-marginal chain matches an exactly computable posterior.
 
     The parameter space is two finite-state models sharing one acceptance
@@ -224,8 +200,8 @@ def check_grid_posterior(master_seed: int, iterations: int, tolerance: float,
     the exact posterior follows from the finite-state recursion and the chain
     occupancy must reproduce it.
     """
-    params_a, _, observations = toy_discrete_instance(master_seed, steps=steps)
-    params_b, _, _ = toy_discrete_instance(master_seed + 1, steps=steps,
+    params_a, _, observations = toy_discrete_instance(master_seed, steps=4)
+    params_b, _, _ = toy_discrete_instance(master_seed + 1, steps=4,
                                            acceptance=params_a.acceptance)
     grid = [params_a, params_b]
     prior = np.array([0.5, 0.5])
@@ -235,14 +211,13 @@ def check_grid_posterior(master_seed: int, iterations: int, tolerance: float,
     exact_posterior = weights / weights.sum()
 
     def run_filter(index, stream):
-        return alive_filter(discrete_model(grid[index]), kernel, observations,
-                            n_particles, 100_000, stream)
+        return alive_filter(discrete_model(grid[index]), kernel, observations, 10, 100_000, stream)
 
     record = run_chain(
         run_filter,
         lambda index: float(np.log(prior[index])),
         lambda index, stream: (1 - index, 0.0),
-        lambda stream: int(categorical(stream, prior)),
+        lambda stream: int(categorical_many(stream, prior, 1)[0]),
         iterations,
         derive_stream(SeedSpec(master_seed, 10)),
     )
@@ -267,13 +242,14 @@ def _sv_chain_task(args):
     return record.acceptance_rate, record.cap_exceeded, f_series
 
 
-def synthetic_sv_record(master_seed: int, steps: int, alpha: float = 1.95) -> np.ndarray:
+def synthetic_sv_record(master_seed: int, steps: int) -> np.ndarray:
     """A synthetic volatility record with parameters inside the prior's bulk."""
     true_params = StochasticVolatilityParams(
-        F=0.5, nu2=0.01, alpha=alpha, beta=0.05, gamma=0.5, delta=0.0
+        F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5, delta=0.0
     )
     _, observations = simulate(sv_model(true_params), steps, derive_stream(SeedSpec(master_seed, 0)))
     return observations
+
 
 def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: int,
                                 steps: int, seeds: int, acf_slack: float,
@@ -302,11 +278,7 @@ def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: 
 
     if workers is None:
         workers = min(len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sv_chain_task, tasks))
-    else:
-        outcomes = [_sv_chain_task(task) for task in tasks]
+    outcomes = parallel_map(_sv_chain_task, tasks, workers)
 
     details = []
     passed = True

@@ -71,7 +71,7 @@ from typing import List, Optional
 import numpy as np
 
 from .models import DiscreteHmmParams, norm_logpdf
-from .rng import categorical_many
+from .rng import categorical_many, log_categorical
 from .smc import (
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
@@ -132,16 +132,6 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     return np.maximum(np.log(np.maximum(mass, 1e-300)), LOG_FLOOR)
 
 
-def _draw_proportional(stream: np.random.Generator, log_scores: np.ndarray):
-    """(index, log of the summed scores) for one draw proportional to
-    exp(log_scores); one shifted-exp pass serves both, and the index equals
-    ``rng.categorical``'s on the same stream."""
-    shift = float(log_scores.max())
-    cdf = np.cumsum(np.exp(log_scores - shift))
-    pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
-    return min(pick, cdf.size - 1), shift + math.log(float(cdf[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian lookahead twist
 # ---------------------------------------------------------------------------
@@ -185,29 +175,22 @@ class GaussianLookaheadTwist:
             raise ValueError(f"obs_var must be positive and finite, got {self.obs_var}")
         if self.lag < 0:
             raise ValueError(f"lag must be nonnegative, got {self.lag}")
-        # (phi**lag, Var(Y_{t+lag} | K_t)) up to the longest effective lag used so far
-        object.__setattr__(self, "_lookahead", ())
 
     def _window(self, y_window):
         """(effective lag, phi**lag, predictive variance, target observation)."""
         lag = min(self.lag, len(y_window) - 1)
         if lag < 0:
             raise ValueError("empty observation window")
-        if lag >= len(self._lookahead):
-            try:
-                table = tuple(
-                    (self.phi**j, self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, j))
-                    for j in range(lag + 1)
-                )
-                # overflow shows first at the longest lag
-                finite = math.isfinite(table[-1][0] ** 2 + table[-1][1])
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"lookahead constants phi**lag and Var(Y_(t+lag) | K_t) "
-                                 f"overflow a float at lag {lag} (phi {self.phi})")
-            object.__setattr__(self, "_lookahead", table)
-        return (lag, *self._lookahead[lag], float(y_window[lag]))
+        try:
+            scale = self.phi**lag
+            s2 = self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, lag)
+            finite = math.isfinite(scale**2 + s2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"lookahead constants phi**lag and Var(Y_(t+lag) | K_t) "
+                             f"overflow a float at lag {lag} (phi {self.phi})")
+        return lag, scale, s2, float(y_window[lag])
 
     def log_h(self, y_window, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -430,7 +413,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             )
             ancestors = None
         else:
-            guided_ancestor, log_scores_sum = _draw_proportional(
+            guided_ancestor, log_scores_sum = log_categorical(
                 stream, prev.log_weights + twist.log_qh(y_window, prev.states)
             )
             guided = twist.propose_guided_states(
@@ -549,7 +532,7 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             )
             propose_latents = latent_proposer(model)
         else:
-            pick, log_numerator = _draw_proportional(
+            pick, log_numerator = log_categorical(
                 stream, twist.log_qh_alive(y_window, accepted_states, kernel)
             )
             guided_ancestor = int(accepted_idx[pick])

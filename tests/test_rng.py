@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from alivetwist.rng import (
     SeedSpec,
-    categorical,
     categorical_many,
     derive_stream,
     gaussian,
+    log_categorical,
 )
+from alivetwist.smc import _logsumexp1d
+
+from helpers import stream_for
 
 
 class TestSeedSpec:
@@ -87,10 +90,12 @@ class TestGaussian:
 
 
 class TestCategorical:
+    """Single draws: ``log_categorical``, and ``categorical_many``'s weight checks."""
+
     def test_degenerate_weight_vector_is_deterministic(self):
         stream = derive_stream(SeedSpec(9, 0))
         for _ in range(20):
-            assert categorical(stream, [0.0, 1.0, 0.0]) == 1
+            assert log_categorical(stream, np.array([-np.inf, 0.0, -np.inf]))[0] == 1
 
     @pytest.mark.parametrize(
         "weights",
@@ -98,18 +103,31 @@ class TestCategorical:
     )
     def test_invalid_weights_rejected(self, weights):
         with pytest.raises(ValueError, match="invalid categorical weights"):
-            categorical(derive_stream(SeedSpec(9, 1)), weights)
+            categorical_many(derive_stream(SeedSpec(9, 1)), weights, 1)
 
     def test_distribution_matches_weights(self):
         stream = derive_stream(SeedSpec(9, 2))
         weights = np.array([1.0, 2.0, 5.0])
         reps = 30_000
-        draws = np.array([categorical(stream, weights) for _ in range(reps)])
+        draws = np.array([log_categorical(stream, np.log(weights))[0] for _ in range(reps)])
         probs = weights / weights.sum()
         for index, p in enumerate(probs):
             observed = (draws == index).mean()
             se = np.sqrt(p * (1 - p) / reps)
             assert abs(observed - p) < 4 * se
+
+    @pytest.mark.parametrize("size", [1, 7, 2000])
+    def test_matches_categorical_and_logsumexp(self, size):
+        """The index equals a one-draw ``categorical_many`` on the same stream,
+        and the total equals a log-sum-exp, with floored and -inf entries."""
+        for seed in range(20):
+            log_weights = 30.0 * stream_for(250 + size, seed).standard_normal(size)
+            log_weights[::3] = np.log(1e-300)
+            log_weights[1::5] = -np.inf
+            index, log_total = log_categorical(stream_for(251, seed), log_weights)
+            weights = np.exp(log_weights - log_weights.max())
+            assert index == categorical_many(stream_for(251, seed), weights, 1)[0]
+            assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)
 
 
 class TestCategoricalMany:

@@ -1,9 +1,12 @@
-"""Selftest checks: reproducibility across processes."""
+"""Selftest checks: reproducibility across processes and the replicate-mean rule."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from alivetwist.rng import SeedSpec, derive_stream
+from alivetwist.selftest import _replicate_means, check_discrete_unbiasedness, toy_discrete_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,3 +26,30 @@ def _discrete_check_detail(hash_seed: str) -> str:
 
 def test_discrete_check_seeds_do_not_depend_on_string_hashing():
     assert _discrete_check_detail("1") == _discrete_check_detail("2")
+
+
+def test_exact_discrete_estimators_pass():
+    """Seed 1's acceptance table accepts every symbol, so every alive
+    estimate equals the marginal exactly and the replicates have no spread."""
+    params, _, _ = toy_discrete_instance(1)
+    assert params.acceptance.all()
+    result = check_discrete_unbiasedness(1, reps=20)
+    assert result.passed, result.detail
+    assert "(z = inf)" not in result.detail
+
+
+def _constant_case(value: float, target: float):
+    return ("mean {mean:.3f} vs {target:.3f}", lambda stream: value,
+            derive_stream(SeedSpec(3, 0)), 10, target)
+
+
+def test_constant_estimate_off_its_target_fails():
+    result = _replicate_means("constant", [_constant_case(1.5, 1.0)])
+    assert not result.passed
+    assert result.detail == "mean 1.500 vs 1.000 (z = inf)"
+
+
+def test_constant_estimate_on_its_target_passes():
+    result = _replicate_means("constant", [_constant_case(1.0, 1.0)])
+    assert result.passed
+    assert result.detail == "mean 1.000 vs 1.000 (z = 0.00)"

@@ -28,9 +28,7 @@ from alivetwist import (
     sample_until_alive,
     sv_twist,
 )
-from alivetwist.rng import categorical
-from alivetwist.smc import _logsumexp1d
-from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _draw_proportional, _log_interval_mass
+from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _log_interval_mass
 
 from helpers import stream_for
 
@@ -304,18 +302,6 @@ class TestIntervalMass:
         got = _log_interval_mass(np.zeros(()), 1.0, lo, hi)
         assert np.ndim(got) == 0
         assert float(got) == float(_log_interval_mass(np.zeros(1), 1.0, lo, hi)[0])
-
-
-class TestDrawProportional:
-    @pytest.mark.parametrize("size", [1, 7, 2000])
-    def test_matches_categorical_and_logsumexp(self, size):
-        for seed in range(20):
-            log_scores = 30.0 * stream_for(250 + size, seed).standard_normal(size)
-            log_scores[::3] = LOG_FLOOR
-            index, log_total = _draw_proportional(stream_for(251, seed), log_scores)
-            weights = np.exp(log_scores - log_scores.max())
-            assert index == categorical(stream_for(251, seed), weights)
-            assert log_total == pytest.approx(_logsumexp1d(log_scores), rel=0, abs=1e-12)
 
 
 class TestGuidedPair:
