@@ -31,7 +31,6 @@ from .pmmh import (
     acf,
     pmmh_step,
     run_chain,
-    select_path,
     sv_log_prior,
     sv_propose,
     sv_sample_prior,
@@ -101,7 +100,6 @@ __all__ = [
     "random_positive_twist",
     "run_chain",
     "sample_until_alive",
-    "select_path",
     "simulate",
     "stable_sample",
     "sv_log_prior",

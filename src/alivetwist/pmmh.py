@@ -4,9 +4,10 @@ The chain machinery is generic: it takes three callables — a log prior, a
 proposal returning (candidate, log proposal correction), and a filter runner
 mapping (parameter, stream) to (generations, estimate) — so the plain and
 twisted alive filters, or a finite-grid toy parameter space, slot in without
-touching the kernel of the algorithm.  Each accepted state carries a latent
-path selected from the filter output, making the chain target the joint
-posterior over parameters and paths.
+touching the kernel of the algorithm.  The chain carries the parameter and
+its log estimate only and never reads the filter's generations; its
+parameter marginal is the same as if it carried a latent path (Andrieu,
+Doucet & Holenstein 2010).
 
 A filter run that exhausts its proposal cap counts as an immediate rejection
 (and is tallied), which keeps the chain well defined when a candidate
@@ -21,8 +22,8 @@ from typing import List
 
 import numpy as np
 
-from .rng import gaussian, log_categorical
-from .smc import BootstrapGeneration, ParticleGeneration, StoppingTimeCapError
+from .rng import gaussian
+from .smc import StoppingTimeCapError
 
 
 class ChainStartError(RuntimeError):
@@ -139,42 +140,18 @@ def sv_propose(spec: SvProposalSpec, theta: SvTheta, stream: np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# path selection and the chain itself
+# the chain itself
 # ---------------------------------------------------------------------------
-
-
-def select_path(generations, stream: np.random.Generator) -> np.ndarray:
-    """Draw one latent trajectory from a filter's output.
-
-    The terminal index is drawn proportional to the final pool's weights
-    (over its first T - 1 slots for accept/reject pools) and the path is read
-    off through the stored ancestor indices.
-    """
-    final = generations[-1]
-    if isinstance(final, ParticleGeneration):
-        candidates = np.flatnonzero(final.weights[: final.stopping_time - 1] == 1)
-        index = int(candidates[stream.integers(0, candidates.size)])
-    elif isinstance(final, BootstrapGeneration):
-        index, _ = log_categorical(stream, final.log_weights)
-    else:
-        raise TypeError(f"unsupported generation type {type(final)!r}")
-    path = np.empty(len(generations), dtype=np.asarray(final.states).dtype)
-    for t in range(len(generations) - 1, -1, -1):
-        generation = generations[t]
-        path[t] = generation.states[index]
-        if t > 0:
-            index = int(generation.ancestors[index])
-    return path
 
 
 @dataclass
 class PmmhState:
-    """Current point of the chain: parameter, its score, and a latent path."""
+    """Current point of the chain: the parameter, its log prior, and the log
+    normalising-constant estimate it was accepted with."""
 
     theta: object
     log_prior: float
     log_zhat: float
-    path: np.ndarray
 
 
 @dataclass
@@ -193,13 +170,12 @@ def pmmh_step(state: PmmhState, run_filter, log_prior_fn, propose_fn,
     if not log_prior > float("-inf"):
         return state, StepInfo(False, False, float("-inf"))
     try:
-        generations, estimate = run_filter(proposed, stream)
+        _, estimate = run_filter(proposed, stream)
     except StoppingTimeCapError:
         return state, StepInfo(False, True, float("-inf"))
-    path = select_path(generations, stream)
     log_ratio = log_prior - state.log_prior + log_correction + estimate.log_total - state.log_zhat
     if math.log(stream.random()) < log_ratio:
-        accepted = PmmhState(proposed, log_prior, estimate.log_total, path)
+        accepted = PmmhState(proposed, log_prior, estimate.log_total)
         return accepted, StepInfo(True, False, log_ratio)
     return state, StepInfo(False, False, log_ratio)
 
@@ -242,11 +218,10 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         if log_prior0 == float("-inf"):
             continue
         try:
-            generations, estimate = run_filter(theta0, stream)
+            _, estimate = run_filter(theta0, stream)
         except StoppingTimeCapError:
             continue
-        path0 = select_path(generations, stream)
-        state = PmmhState(theta0, log_prior0, estimate.log_total, path0)
+        state = PmmhState(theta0, log_prior0, estimate.log_total)
         break
     if state is None:
         raise ChainStartError(f"no viable initial parameter found in {INIT_ATTEMPTS} prior draws")

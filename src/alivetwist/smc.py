@@ -69,23 +69,20 @@ class ParticleGeneration:
     """One step's pool from an accept/reject filter.
 
     states/pseudo_obs/weights all have length ``stopping_time``; weights are
-    binary with the final entry 1.  ancestors holds, for each stored particle,
-    the index it was propagated from in the previous pool (None at the first
-    step).  twisted_index marks the slot occupied by the guided particle when
-    a twisted variant produced this generation, and the two log sums record
-    that step's guidance diagnostics.
+    binary with the final entry 1.  twisted_index marks the slot occupied by
+    the guided particle when a twisted variant produced this generation, and
+    the two log sums record that step's guidance diagnostics.
     """
 
     states: np.ndarray
     pseudo_obs: np.ndarray
     weights: np.ndarray
     stopping_time: int
-    ancestors: Optional[np.ndarray] = None
     twisted_index: Optional[int] = None
     log_qh_sum: Optional[float] = None
     log_wh_sum: Optional[float] = None
 
-    def validate(self, target: int, prev_stopping_time: Optional[int] = None) -> None:
+    def validate(self, target: int) -> None:
         """Raise ValueError unless the structural invariants hold."""
         t = self.stopping_time
         _require(t >= target, "stopping time cannot be below the acceptance target")
@@ -94,10 +91,6 @@ class ParticleGeneration:
         _require(set(np.unique(self.weights)).issubset({0, 1}), "weights must be binary")
         _require(int(self.weights.sum()) == target, "acceptances must hit the target exactly")
         _require(int(self.weights[-1]) == 1, "the final stored particle must be accepted")
-        if self.ancestors is not None and prev_stopping_time is not None:
-            _require(len(self.ancestors) == t, "ancestors must have length stopping_time")
-            _require(0 <= self.ancestors.min() and self.ancestors.max() <= prev_stopping_time - 2,
-                     "ancestors must come from the previous pool's first T - 1 slots")
         if self.twisted_index is not None:
             _require(0 <= self.twisted_index <= t - 2,
                      "twisted slot must sit within the first T - 1")
@@ -115,7 +108,6 @@ class BootstrapGeneration:
 
     states: np.ndarray
     log_weights: np.ndarray
-    ancestors: Optional[np.ndarray] = None
     twisted_index: Optional[int] = None
     log_qh_sum: Optional[float] = None
     log_wh_sum: Optional[float] = None
@@ -181,10 +173,10 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             raise StoppingTimeCapError(step, drawn, accepted, target, cap)
         batch = propose(stream, size)
         weights = kernel.weights(batch["pseudo_obs"], observed)
+        batch["weights"] = weights
         cumulative = accepted + np.cumsum(weights)
         if int(cumulative[-1]) >= target:
             stop = int(np.searchsorted(cumulative, target, side="left")) + 1
-            batch["weights"] = weights
             if not chunks:  # common case: the first batch already covers the target
                 return {name: values[:stop] for name, values in batch.items()}, stop
             chunks.append(batch)
@@ -193,7 +185,6 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
                 for name in chunks[0]
             }
             return pool, drawn + stop
-        batch["weights"] = weights
         chunks.append(batch)
         drawn += size
         accepted = int(cumulative[-1])
@@ -205,25 +196,23 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             size *= 2
 
 
-def latent_proposer(model, states: Optional[np.ndarray] = None,
-                    accepted_idx: Optional[np.ndarray] = None):
+def latent_proposer(model, accepted_states: Optional[np.ndarray] = None):
     """``propose(stream, count)`` for one alive step's plain latent proposals.
 
-    At the first step (``states`` None) each proposal is the initial draw plus
-    one transition.  Later, each picks an ancestor uniformly from
-    ``accepted_idx``, the previous pool's accepted slots among its first
-    T - 1, and moves ``states[ancestor]`` one transition on.  The returned
-    dict holds 'states' and, after the first step, 'ancestors'.
+    At the first step (``accepted_states`` None) each proposal is the initial
+    draw plus one transition.  Later, each picks one of ``accepted_states``,
+    the previous pool's accepted particles among its first T - 1, uniformly
+    and moves it one transition on.  Each call returns {'states': the
+    proposed states}.
     """
-    if states is None:
+    if accepted_states is None:
         def propose(stream, count):
             k0 = model.init_state_sampler(stream, count)
             return {"states": model.transition_sampler(k0, stream)}
     else:
         def propose(stream, count):
-            ancestors = accepted_idx[stream.integers(0, accepted_idx.size, size=count)]
-            k = model.transition_sampler(states[ancestors], stream)
-            return {"states": k, "ancestors": ancestors}
+            picks = stream.integers(0, accepted_states.size, size=count)
+            return {"states": model.transition_sampler(accepted_states[picks], stream)}
     return propose
 
 
@@ -232,11 +221,11 @@ def alive_filter(model, kernel, observations, n_particles: int,
                  stream: Optional[np.random.Generator] = None):
     """Accept/reject filter that keeps proposing until each step is alive.
 
-    Each step proposes (ancestor, transition, simulated observation) triples
-    until n_particles of them are accepted by the kernel; ancestors are drawn
-    uniformly from the previous step's accepted particles among its first
-    T - 1 slots.  Returns (generations, estimate) where the estimate's step
-    factor is (n_particles - 1) / (T_step - 1).
+    Each step moves states drawn uniformly from the previous step's accepted
+    particles among its first T - 1 slots one transition on and simulates an
+    observation from each, until n_particles of them are accepted by the
+    kernel.  Returns (generations, estimate) where the estimate's step factor
+    is (n_particles - 1) / (T_step - 1).
     """
     if stream is None:
         raise ValueError("an explicit random stream is required")
@@ -247,14 +236,10 @@ def alive_filter(model, kernel, observations, n_particles: int,
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     batch_hint = None
-    prev: Optional[ParticleGeneration] = None
+    accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
 
     for t, y in enumerate(observations):
-        if prev is None:
-            propose_latents = latent_proposer(model)
-        else:
-            accepted_idx = prev.weights[: prev.stopping_time - 1].nonzero()[0]
-            propose_latents = latent_proposer(model, prev.states, accepted_idx)
+        propose_latents = latent_proposer(model, accepted_states)
 
         def propose(stream, count):
             out = propose_latents(stream, count)
@@ -270,12 +255,11 @@ def alive_filter(model, kernel, observations, n_particles: int,
             pseudo_obs=pool["pseudo_obs"],
             weights=pool["weights"],
             stopping_time=stopping_time,
-            ancestors=pool.get("ancestors"),
         )
         generations.append(generation)
         log_factors.append(math.log(n_particles - 1) - math.log(stopping_time - 1))
-        batch_hint = min(math.ceil(1.3 * stopping_time), cap)
-        prev = generation
+        batch_hint = math.ceil(1.3 * stopping_time)
+        accepted_states = pool["states"][pool["weights"][: stopping_time - 1].nonzero()[0]]
 
     return generations, NormConstEstimate.from_log_factors(log_factors)
 
@@ -301,7 +285,6 @@ def bootstrap_filter(model, observations, n_particles: int,
 
     for t, y in enumerate(observations):
         if prev is None:
-            ancestors = None
             k = model.transition_sampler(model.init_state_sampler(stream, n_particles), stream)
         else:
             probs = np.exp(prev.log_weights - prev.log_weights.max())
@@ -311,7 +294,7 @@ def bootstrap_filter(model, observations, n_particles: int,
         total = _logsumexp1d(log_weights)
         if not np.isfinite(total):
             raise ParticleDeathError(t)
-        generation = BootstrapGeneration(states=k, log_weights=log_weights, ancestors=ancestors)
+        generation = BootstrapGeneration(states=k, log_weights=log_weights)
         generations.append(generation)
         log_factors.append(total - np.log(n_particles))
         prev = generation

@@ -411,7 +411,6 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             others = model.transition_sampler(
                 model.init_state_sampler(stream, n_particles - 1), stream
             )
-            ancestors = None
         else:
             guided_ancestor, log_scores_sum = log_categorical(
                 stream, prev.log_weights + twist.log_qh(y_window, prev.states)
@@ -422,7 +421,6 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             probs = np.exp(prev.log_weights - prev.log_weights.max())
             other_ancestors = categorical_many(stream, probs, n_particles - 1)
             others = model.transition_sampler(prev.states[other_ancestors], stream)
-            ancestors = _insert_scalar(other_ancestors, slot, guided_ancestor)
             # the previous pool's log-weight total is exactly last step's factor input
             log_qh_sum = log_scores_sum - prev_total
         states = _insert_scalar(others, slot, guided[0])
@@ -435,7 +433,6 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
         generation = BootstrapGeneration(
             states=states,
             log_weights=log_weights,
-            ancestors=ancestors,
             twisted_index=slot,
             log_qh_sum=log_qh_sum,
             log_wh_sum=log_wh_sum,
@@ -517,27 +514,23 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     batch_hint = None
-    prev: Optional[ParticleGeneration] = None
-    accepted_idx = accepted_states = None  # prev's weight-1 slots in its first T - 1
+    accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
     reserved = min(GUIDED_PREFIX, cap - n_particles + 1)
 
     for t in range(observations.size):
         y = observations[t]
         y_window = observations[t:]
-        if prev is None:
+        if accepted_states is None:
             guided_anchor = None
-            guided_ancestor = None
             log_numerator = math.log(n_particles - 1) + float(
                 twist.log_qh_alive(y_window, None, kernel)
             )
-            propose_latents = latent_proposer(model)
         else:
             pick, log_numerator = log_categorical(
                 stream, twist.log_qh_alive(y_window, accepted_states, kernel)
             )
-            guided_ancestor = int(accepted_idx[pick])
-            guided_anchor = prev.states[guided_ancestor]
-            propose_latents = latent_proposer(model, prev.states, accepted_idx)
+            guided_anchor = accepted_states[pick]
+        propose_latents = latent_proposer(model, accepted_states)
 
         def propose_guided(stream, count):
             states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
@@ -575,26 +568,20 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
         states = _insert_scalar(pool["states"], slot, guided_state)
         pseudo_obs = _insert_scalar(pool["pseudo_obs"], slot, guided_obs)
         weights = _insert_scalar(pool["weights"], slot, 1)
-        ancestors = None
-        if prev is not None:
-            ancestors = _insert_scalar(pool["ancestors"], slot, guided_ancestor)
 
-        accepted_idx = weights[: stopping_time - 1].nonzero()[0]
-        accepted_states = states[accepted_idx]
+        accepted_states = states[weights[: stopping_time - 1].nonzero()[0]]
         log_denominator = _logsumexp1d(twist.log_h(y_window, accepted_states))
         generation = ParticleGeneration(
             states=states,
             pseudo_obs=pseudo_obs,
             weights=weights,
             stopping_time=stopping_time,
-            ancestors=ancestors,
             twisted_index=slot,
             log_qh_sum=log_numerator,
             log_wh_sum=log_denominator,
         )
         generations.append(generation)
         log_factors.append(log_numerator - log_denominator)
-        batch_hint = min(math.ceil(1.3 * stopping_time), cap)
-        prev = generation
+        batch_hint = math.ceil(1.3 * stopping_time)
 
     return generations, NormConstEstimate.from_log_factors(log_factors)

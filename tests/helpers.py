@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -11,6 +13,17 @@ from scipy.special import ndtr
 from scipy.stats import levy_stable
 
 from alivetwist.rng import SeedSpec, derive_stream
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(**overrides) -> dict:
+    """The current environment plus ``overrides``, with the checkout's
+    ``src`` first on PYTHONPATH, for tests that start a fresh interpreter."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def stream_for(master_seed: int, stream_id: int = 0) -> np.random.Generator:

@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -17,6 +16,8 @@ from alivetwist.configs import parse_model
 from alivetwist.models import simulate
 from alivetwist.rng import SeedSpec, derive_stream
 from alivetwist.selftest import CheckResult
+
+from helpers import src_env
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -500,7 +501,7 @@ class TestEntryPoint:
             f"sys.argv[0] = 'alivetwist'; sys.exit({func}())"
         )
         done = subprocess.run(
-            [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True
+            [sys.executable, "-c", wrapper, "--help"], env=src_env(), capture_output=True, text=True
         )
         assert done.returncode == 0
         assert "simulate" in done.stdout and "selftest" in done.stdout
@@ -508,19 +509,16 @@ class TestEntryPoint:
     def test_package_import_does_not_load_scipy_stats(self):
         """scipy.stats takes over a second to import, and every run pays for
         the package import; no other scipy module loads with it either."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-        )
         script = ("import sys, alivetwist; "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
 
     def test_module_requires_a_subcommand(self):
         done = subprocess.run(
-            [sys.executable, "-m", "alivetwist.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "alivetwist.cli"], env=src_env(), capture_output=True, text=True
         )
         assert done.returncode == 1
+        assert "No module named" not in done.stderr

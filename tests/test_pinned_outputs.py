@@ -1,0 +1,100 @@
+"""Filter and chain outputs at fixed seeds, pinned to exact values.
+
+A change that is meant to leave every filter's draws untouched (an engine
+tidy, a deleted diagnostic) must keep these log estimates to the last bit;
+a change that moves them changes what a seed produces and must say so.
+The chain pins also move whenever the chain consumes its stream
+differently, even if its law is unchanged.
+"""
+
+import numpy as np
+import pytest
+
+from alivetwist import (
+    DEFAULT_TRIAL_CAP,
+    AbcKernel,
+    DiscreteBallKernel,
+    LinearGaussianParams,
+    StochasticVolatilityParams,
+    acceptance_prob_twist,
+    alive_twisted_filter,
+    lg_model,
+    lg_twist,
+    simulate,
+    sv_model,
+    sv_twist,
+)
+from alivetwist.configs import FILTERS, PmmhConfig
+from alivetwist.experiments import run_sv_pmmh
+from alivetwist.selftest import synthetic_sv_record, toy_discrete_instance
+
+from helpers import stream_for
+
+LG_PARAMS = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+SV_PARAMS = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
+
+
+def _lg_log_total(algo: str, seed: int) -> float:
+    model = lg_model(LG_PARAMS)
+    _, observations = simulate(model, 20, stream_for(seed))
+    _, estimate = FILTERS[algo].run(
+        model, AbcKernel(epsilon=1.2, mode="absolute"), lg_twist(LG_PARAMS, 3), observations,
+        30, DEFAULT_TRIAL_CAP, stream_for(seed, 1),
+    )
+    return estimate.log_total
+
+
+LG_PINNED = {
+    ("alive", 901): -19.251288150704575,
+    ("alive", 902): -18.01001988914247,
+    ("bootstrap", 901): -33.76931712764742,
+    ("bootstrap", 902): -34.86823834904773,
+    ("twisted-bootstrap", 901): -34.6171201833158,
+    ("twisted-bootstrap", 902): -35.5419853143531,
+    ("alive-twisted", 901): -17.19546891906177,
+    ("alive-twisted", 902): -18.060156019097143,
+}
+
+
+@pytest.mark.parametrize("algo, seed", sorted(LG_PINNED))
+def test_linear_gaussian_log_total(algo, seed):
+    assert _lg_log_total(algo, seed) == pytest.approx(LG_PINNED[algo, seed], abs=1e-12)
+
+
+def test_alive_twisted_on_a_volatility_record():
+    observations = synthetic_sv_record(903, 30)
+    _, estimate = alive_twisted_filter(
+        sv_model(SV_PARAMS), AbcKernel(epsilon=3.5, mode="relative"), sv_twist(SV_PARAMS, 5),
+        observations, 20, stream=stream_for(903, 1),
+    )
+    assert estimate.log_total == pytest.approx(-8.186707521236558, abs=1e-12)
+
+
+def test_alive_twisted_on_discrete_data():
+    params, model, observations = toy_discrete_instance(904, steps=8)
+    _, estimate = alive_twisted_filter(
+        model, DiscreteBallKernel(params.acceptance), acceptance_prob_twist(params, observations, 2),
+        observations, 15, stream=stream_for(904, 1),
+    )
+    assert estimate.log_total == pytest.approx(-4.962966058088273, abs=1e-12)
+
+
+def test_short_volatility_chain():
+    config = PmmhConfig(
+        iterations=6, n_particles=20, epsilon=3.5, lag=5, cap=1_000_000, alpha=1.95,
+        beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
+    )
+    record = run_sv_pmmh(synthetic_sv_record(905, 30), config, "alive-twisted", 905)
+    np.testing.assert_array_equal(record.accepted, [1, 1, 0, 0, 1, 0, 1])
+    np.testing.assert_allclose(
+        record.log_zhats,
+        [-40.12886550777451, -30.97144053150786, -30.97144053150786, -30.97144053150786,
+         -19.933835943192168, -19.933835943192168, -6.070370760874239],
+        rtol=0, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        record.theta_field("F"),
+        [0.3863627050542504, -0.4375470300901929, -0.4375470300901929, -0.4375470300901929,
+         -0.5382929950105168, -0.5382929950105168, 0.16816895004355292],
+        rtol=0, atol=1e-12,
+    )

@@ -15,7 +15,6 @@ from alivetwist.pmmh import (
     acf,
     pmmh_step,
     run_chain,
-    select_path,
     sv_log_prior,
     sv_propose,
     sv_sample_prior,
@@ -24,7 +23,6 @@ from alivetwist.rng import gaussian
 from alivetwist.smc import (
     BootstrapGeneration,
     NormConstEstimate,
-    ParticleGeneration,
     StoppingTimeCapError,
 )
 
@@ -140,64 +138,16 @@ class TestSvProposal:
         assert correction == pytest.approx(want, rel=1e-10)
 
 
-def _bootstrap_gen(states, log_weights, ancestors=None):
+def _bootstrap_gen(states, log_weights):
     return BootstrapGeneration(
         states=np.asarray(states, dtype=float),
         log_weights=np.asarray(log_weights, dtype=float),
-        ancestors=None if ancestors is None else np.asarray(ancestors),
     )
 
 
-class TestSelectPath:
-    def test_bootstrap_hand_trace(self):
-        generations = [
-            _bootstrap_gen([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
-            _bootstrap_gen([10.0, 11.0, 12.0], [0.0, 0.0, 0.0], [2, 0, 1]),
-            _bootstrap_gen([20.0, 21.0, 22.0], np.log([0.2, 0.5, 0.3]), [1, 2, 0]),
-        ]
-        # cdf over exp(lw - max) is [0.4, 1.4, 2.0]; u*2.0 = 0.5 picks slot 1
-        stream = ScriptedStream(uniforms=[0.25])
-        path = select_path(generations, stream)
-        assert stream.exhausted()
-        np.testing.assert_array_equal(path, [1.0, 12.0, 21.0])
-
-    def test_alive_hand_trace(self):
-        first = ParticleGeneration(
-            states=np.array([0.0, 1.0, 2.0]),
-            pseudo_obs=np.zeros(3),
-            weights=np.array([1, 1, 1]),
-            stopping_time=3,
-        )
-        final = ParticleGeneration(
-            states=np.array([10.0, 11.0, 12.0, 13.0]),
-            pseudo_obs=np.zeros(4),
-            weights=np.array([1, 0, 1, 1]),
-            stopping_time=4,
-            ancestors=np.array([1, 0, 1, 0]),
-        )
-        # accepted among the first T-1 slots are {0, 2}; scripted pick: the 2nd
-        stream = ScriptedStream(integers=[1])
-        path = select_path([first, final], stream)
-        assert stream.exhausted()
-        np.testing.assert_array_equal(path, [1.0, 12.0])
-
-    def test_terminal_frequencies_follow_weights(self):
-        generations = [_bootstrap_gen([0.0, 1.0, 2.0], np.log([0.2, 0.5, 0.3]))]
-        stream = stream_for(306)
-        picks = np.array([select_path(generations, stream)[0] for _ in range(3000)])
-        counts = np.array([(picks == v).sum() for v in (0.0, 1.0, 2.0)])
-        expected = 3000 * np.array([0.2, 0.5, 0.3])
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < stats.chi2(2).ppf(0.999)
-
-    def test_unsupported_generation_type(self):
-        with pytest.raises(TypeError):
-            select_path([object()], stream_for(307))
-
-
-def _stub_filter(log_total, state_value=5.0):
+def _stub_filter(log_total):
     def run(theta, stream):
-        generation = _bootstrap_gen([state_value], [0.0])
+        generation = _bootstrap_gen([5.0], [0.0])
         return [generation], NormConstEstimate.from_log_factors([log_total])
 
     return run
@@ -205,10 +155,10 @@ def _stub_filter(log_total, state_value=5.0):
 
 class TestPmmhStep:
     def _state(self):
-        return PmmhState(theta=0, log_prior=0.0, log_zhat=0.0, path=np.array([0.0]))
+        return PmmhState(theta=0, log_prior=0.0, log_zhat=0.0)
 
     def test_accept_branch(self):
-        stream = ScriptedStream(uniforms=[0.3, 0.5])
+        stream = ScriptedStream(uniforms=[0.5])
         state, info = pmmh_step(
             self._state(), _stub_filter(2.0), lambda t: 0.0, lambda t, s: (1, 0.0), stream
         )
@@ -216,10 +166,9 @@ class TestPmmhStep:
         assert info.accepted and not info.cap_exceeded
         assert info.log_ratio == pytest.approx(2.0)
         assert state.theta == 1 and state.log_zhat == 2.0
-        np.testing.assert_array_equal(state.path, [5.0])
 
     def test_reject_branch_keeps_the_state(self):
-        stream = ScriptedStream(uniforms=[0.3, 0.5])
+        stream = ScriptedStream(uniforms=[0.5])
         before = self._state()
         state, info = pmmh_step(
             before, _stub_filter(-5.0), lambda t: 0.0, lambda t, s: (1, 0.0), stream
@@ -306,7 +255,7 @@ class TestRunChain:
         record = ChainRecord(
             thetas=thetas, log_zhats=np.zeros(2), accepted=np.ones(2, dtype=np.int64),
             acceptance_rate=1.0, cap_exceeded=0, iterations=1,
-            final_state=PmmhState(thetas[-1], 0.0, 0.0, np.zeros(1)),
+            final_state=PmmhState(thetas[-1], 0.0, 0.0),
         )
         np.testing.assert_allclose(record.theta_field("F"), [0.1, 0.4])
         np.testing.assert_allclose(record.theta_field("gamma"), [0.3, 0.6])

@@ -1,25 +1,22 @@
 """Selftest checks: reproducibility across processes and the replicate-mean rule."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 from alivetwist.rng import SeedSpec, derive_stream
 from alivetwist.selftest import _replicate_means, check_discrete_unbiasedness, toy_discrete_instance
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import src_env
 
 
 def _discrete_check_detail(hash_seed: str) -> str:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     script = (
         "from alivetwist.selftest import check_discrete_unbiasedness; "
         "print(check_discrete_unbiasedness(7, reps=20).detail)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=src_env(PYTHONHASHSEED=hash_seed),
+        capture_output=True, text=True, check=True,
     )
     return done.stdout
 

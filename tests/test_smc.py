@@ -1,10 +1,8 @@
 """Accept/reject filtering core: stopping times, pools, and estimates."""
 
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +25,7 @@ from alivetwist import (
 from alivetwist.models import HmmModel
 from alivetwist.smc import _MAX_BATCH
 
-from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import lg_abc_grid_log_marginal, monte_carlo_z, src_env, stream_for
 
 
 class BinaryKernel:
@@ -73,15 +69,13 @@ class TestErrors:
     def test_generation_validation_survives_optimisation(self):
         """validate raises ValueError on a broken pool even under python -O,
         which strips assert statements."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         script = (
             "import numpy as np; from alivetwist import ParticleGeneration\n"
             "pool = ParticleGeneration(np.zeros(3), np.zeros(3), np.array([0, 2, 1]), 3)\n"
             "try:\n    pool.validate(3)\nexcept ValueError as err:\n    print(err)"
         )
         done = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "weights must be binary"
 
@@ -275,10 +269,8 @@ class TestAliveFilter:
         kernel = AbcKernel(epsilon=1.2, mode="absolute")
         _, observations = simulate(model, 30, stream_for(213))
         generations, estimate = alive_filter(model, kernel, observations, 15, stream=stream_for(214))
-        prev_stop = None
         for generation in generations:
-            generation.validate(15, prev_stop)
-            prev_stop = generation.stopping_time
+            generation.validate(15)
         assert estimate.log_total == pytest.approx(sum(estimate.log_factors), abs=1e-12)
         assert math.isclose(
             estimate.log_factors[3],

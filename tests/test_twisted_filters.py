@@ -213,10 +213,9 @@ class TestAliveTwisted:
         generations, estimate = alive_twisted_filter(
             model, kernel, twist, observations, n, stream=stream_for(270)
         )
-        prev_stop = None
         prev_accepted = None
         for t, generation in enumerate(generations):
-            generation.validate(n, prev_stop)
+            generation.validate(n)
             window = observations[t:]
             edge = generation.stopping_time - 1
             accepted = generation.states[generation.weights[:edge].nonzero()[0]]
@@ -234,7 +233,6 @@ class TestAliveTwisted:
             assert estimate.log_factors[t] == pytest.approx(
                 generation.log_qh_sum - generation.log_wh_sum, abs=1e-12
             )
-            prev_stop = generation.stopping_time
             prev_accepted = accepted
         assert estimate.log_total == pytest.approx(sum(estimate.log_factors), abs=1e-12)
 
@@ -335,14 +333,83 @@ class TestAliveTwisted:
             model, kernel, sv_twist(params, 5), observations, 20, stream=stream_for(283)
         )
         assert math.isfinite(estimate.log_total)
-        prev_stop = None
         for generation in generations:
-            generation.validate(20, prev_stop)
-            prev_stop = generation.stopping_time
+            generation.validate(20)
         _, again = alive_twisted_filter(
             model, kernel, sv_twist(params, 5), observations, 20, stream=stream_for(283)
         )
         assert again.log_total == estimate.log_total
+
+
+class _StepMarkingKernel:
+    """Forwards to a kernel and logs the observation each weights call scores."""
+
+    def __init__(self, kernel, events):
+        self._kernel = kernel
+        self._events = events
+
+    def weights(self, simulated, observed):
+        self._events.append(("step", observed))
+        return self._kernel.weights(simulated, observed)
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+
+class TestResamplingRule:
+    """At every step t >= 1 of both alive filters, each propagated state and
+    each guided anchor is one of the previous pool's accepted particles among
+    its first T - 1."""
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_sources_are_the_previous_accepted_pool(self, twisted):
+        base = lg_model(PARAMS)
+        _, observations = simulate(base, 15, stream_for(292))
+        events = []  # ("step", y) from the kernel, ("source", states) from the hooks
+
+        def transition(k, stream):
+            events.append(("source", np.array(k, dtype=float)))
+            return base.transition_sampler(k, stream)
+
+        model = dataclasses.replace(base, transition_sampler=transition)
+        kernel = _StepMarkingKernel(AbcKernel(epsilon=1.2, mode="absolute"), events)
+        n = 12
+        if twisted:
+            twist = HooksOnly(lg_twist(PARAMS, 3))
+            propose_guided = twist.propose_guided_states
+
+            def guided(k_anc, y_window, stream, count):
+                if k_anc is not None:
+                    events.append(("source", np.array([k_anc], dtype=float)))
+                return propose_guided(k_anc, y_window, stream, count)
+
+            twist.propose_guided_states = guided
+            generations, _ = alive_twisted_filter(
+                model, kernel, twist, observations, n, stream=stream_for(293)
+            )
+        else:
+            generations, _ = alive_filter(model, kernel, observations, n, stream=stream_for(293))
+
+        # a hook call belongs to the step whose observation the next kernel call scores
+        sources = {t: [] for t in range(observations.size)}
+        step = None
+        for kind, payload in reversed(events):
+            if kind == "step":
+                (matches,) = np.nonzero(observations == payload)
+                assert matches.size == 1
+                step = int(matches[0])
+            else:
+                sources[step].append(payload)
+        rejected_seen = False
+        for t in range(1, observations.size):
+            prev = generations[t - 1]
+            first = slice(0, prev.stopping_time - 1)
+            accepted = prev.states[first][prev.weights[first] == 1]
+            rejected_seen |= bool((prev.weights[first] == 0).any())
+            assert sources[t]
+            for states in sources[t]:
+                assert np.isin(states, accepted).all()
+        assert rejected_seen
 
 
 class TestAliveTwistedDiscrete:
