@@ -39,12 +39,14 @@ from .rng import SeedSpec, derive_stream
 from .smc import (
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
+    EarlyRejection,
     NormConstEstimate,
     ParticleDeathError,
     ParticleGeneration,
     StoppingTimeCapError,
     alive_filter,
     bootstrap_filter,
+    rejection_floor,
     sample_until_alive,
 )
 from .twist import (
@@ -71,6 +73,7 @@ __all__ = [
     "DiscreteBallKernel",
     "DiscreteHmmParams",
     "DiscreteTableTwist",
+    "EarlyRejection",
     "GaussianLookaheadTwist",
     "HmmModel",
     "LinearGaussianParams",
@@ -98,6 +101,7 @@ __all__ = [
     "lg_twist",
     "pmmh_step",
     "random_positive_twist",
+    "rejection_floor",
     "run_chain",
     "sample_until_alive",
     "simulate",

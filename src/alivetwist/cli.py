@@ -221,6 +221,7 @@ def _cmd_pmmh(args) -> int:
         "algo": args.algo,
         "acceptance_rate": record.acceptance_rate,
         "cap_exceeded": record.cap_exceeded,
+        "early_rejected": record.early_rejected,
         "iterations": record.iterations,
         "burn_in": burn_in,
         "n_particles": config.n_particles,

@@ -12,6 +12,21 @@ Doucet & Holenstein 2010).
 A filter run that exhausts its proposal cap counts as an immediate rejection
 (and is tallied), which keeps the chain well defined when a candidate
 parameter makes the tolerance practically unreachable.
+
+Early rejection (after Solonen et al., Bayesian Analysis 2012).  The uniform
+of the Metropolis-Hastings test is drawn before the candidate's filter runs,
+so the test "accept iff log u < log ratio" becomes "accept iff the
+candidate's log estimate exceeds needed = log u - (prior ratio + proposal
+correction) + the current log estimate".  Every plain alive factor
+(N - 1) / (T - 1) is at most 1, so the candidate's running log estimate can
+only fall; once it is certain to end at or below ``needed`` the candidate is
+certain to be rejected, and the filter stops there (see
+``smc.rejection_floor``).  Every decision is the one the full run would have
+made, so the chain's law is unchanged; its output for a given seed differs
+from a chain that draws u after the filter, because the stream is consumed
+in a different order.  The twisted alive filter ignores the floor: its
+factor is not bounded by 1 for a general twist, so its running estimate is
+not monotone and always runs to the end.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from typing import List
 import numpy as np
 
 from .rng import gaussian
-from .smc import StoppingTimeCapError
+from .smc import EarlyRejection, StoppingTimeCapError, rejection_floor
 
 
 class ChainStartError(RuntimeError):
@@ -156,25 +171,41 @@ class PmmhState:
 
 @dataclass
 class StepInfo:
+    """How one transition ended.  cap_exceeded marks a filter run that hit its
+    hard proposal cap, early_rejected one stopped by the rejection floor;
+    log_ratio is -inf when no full estimate was made."""
+
     accepted: bool
     cap_exceeded: bool
     log_ratio: float
+    early_rejected: bool = False
 
 
 def pmmh_step(state: PmmhState, run_filter, log_prior_fn, propose_fn,
               stream: np.random.Generator):
     """One accept/reject transition of the pseudo-marginal chain; a rejection
-    returns ``state`` itself."""
+    returns ``state`` itself.
+
+    The stream gives the candidate, then (for a candidate of nonzero prior)
+    the test's uniform, then the filter's draws.  The filter runs under the
+    rejection floor ``needed`` (see the module docstring), and the candidate
+    is accepted iff its log estimate exceeds ``needed``.
+    """
     proposed, log_correction = propose_fn(state.theta, stream)
     log_prior = log_prior_fn(proposed)
     if not log_prior > float("-inf"):
         return state, StepInfo(False, False, float("-inf"))
+    log_offset = log_prior - state.log_prior + log_correction
+    needed = math.log(stream.random()) - log_offset + state.log_zhat
     try:
-        _, estimate = run_filter(proposed, stream)
+        with rejection_floor(needed):
+            _, estimate = run_filter(proposed, stream)
+    except EarlyRejection:
+        return state, StepInfo(False, False, float("-inf"), early_rejected=True)
     except StoppingTimeCapError:
         return state, StepInfo(False, True, float("-inf"))
-    log_ratio = log_prior - state.log_prior + log_correction + estimate.log_total - state.log_zhat
-    if math.log(stream.random()) < log_ratio:
+    log_ratio = log_offset + estimate.log_total - state.log_zhat
+    if estimate.log_total > needed:
         accepted = PmmhState(proposed, log_prior, estimate.log_total)
         return accepted, StepInfo(True, False, log_ratio)
     return state, StepInfo(False, False, log_ratio)
@@ -191,6 +222,7 @@ class ChainRecord:
     cap_exceeded: int
     iterations: int
     final_state: PmmhState
+    early_rejected: int = 0
 
     def theta_field(self, name: str) -> np.ndarray:
         """One sampled coordinate as an array over the stored iterations."""
@@ -206,8 +238,10 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
 
     The initial parameter is drawn from the prior; prior draws whose filter
     run exhausts the proposal cap are redrawn up to ``INIT_ATTEMPTS`` times,
-    then ChainStartError is raised.
-    Row 0 of the record is the initial state.
+    then ChainStartError is raised.  These runs have no rejection floor.
+    Row 0 of the record is the initial state.  ``cap_exceeded`` counts
+    hard-cap events and ``early_rejected`` early rejections, both among the
+    iterations.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -231,6 +265,7 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
     accepted_flags = [1]
     accept_count = 0
     cap_count = 0
+    early_count = 0
     for _ in range(iterations):
         state, info = pmmh_step(state, run_filter, log_prior_fn, propose_fn, stream)
         thetas.append(state.theta)
@@ -238,6 +273,7 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         accepted_flags.append(int(info.accepted))
         accept_count += int(info.accepted)
         cap_count += int(info.cap_exceeded)
+        early_count += int(info.early_rejected)
     return ChainRecord(
         thetas=thetas,
         log_zhats=np.asarray(log_zhats, dtype=float),
@@ -246,4 +282,5 @@ def run_chain(run_filter, log_prior_fn, propose_fn, sample_prior_fn,
         cap_exceeded=cap_count,
         iterations=iterations,
         final_state=state,
+        early_rejected=early_count,
     )

@@ -192,21 +192,29 @@ def check_variance_reduction(master_seed: int, steps: int, n_particles: int,
     )
 
 
+# The grid check's prior balances the two exact marginals to this posterior,
+# far enough from 0, 1 and 1/2 that a chain stuck in either state, or one
+# that accepts every flip, misses it by at least 0.25 in total variation.
+_GRID_POSTERIOR = np.array([0.25, 0.75])
+
+
 def check_grid_posterior(master_seed: int, iterations: int, tolerance: float) -> CheckResult:
     """The pseudo-marginal chain matches an exactly computable posterior.
 
     The parameter space is two finite-state models sharing one acceptance
     table; the proposal deterministically flips between them (symmetric), so
     the exact posterior follows from the finite-state recursion and the chain
-    occupancy must reproduce it.
+    occupancy must reproduce it.  The prior is chosen from the exact
+    marginals so that the posterior is ``_GRID_POSTERIOR``.
     """
     params_a, _, observations = toy_discrete_instance(master_seed, steps=4)
     params_b, _, _ = toy_discrete_instance(master_seed + 1, steps=4,
                                            acceptance=params_a.acceptance)
     grid = [params_a, params_b]
-    prior = np.array([0.5, 0.5])
     kernel = DiscreteBallKernel(params_a.acceptance)
     log_marginals = np.array([discrete_abc_log_marginal(p, observations) for p in grid])
+    prior = _GRID_POSTERIOR * np.exp(log_marginals.min() - log_marginals)
+    prior /= prior.sum()
     weights = prior * np.exp(log_marginals - log_marginals.max())
     exact_posterior = weights / weights.sum()
 
@@ -239,7 +247,7 @@ def _sv_chain_task(args):
     record = run_sv_pmmh(observations, config, algo, master_seed, stream_id)
     burn_in = config.burn_in
     f_series = record.theta_field("F")[burn_in:]
-    return record.acceptance_rate, record.cap_exceeded, f_series
+    return record.acceptance_rate, record.cap_exceeded, record.early_rejected, f_series
 
 
 def synthetic_sv_record(master_seed: int, steps: int) -> np.ndarray:
@@ -283,10 +291,11 @@ def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: 
     details = []
     passed = True
     acfs = {"alive": [], "alive-twisted": []}
-    for (_, _, algo, _, _), (rate, cap_events, f_series) in zip(tasks, outcomes):
+    for (_, _, algo, _, _), (rate, cap_events, early, f_series) in zip(tasks, outcomes):
         ok = rate_window[0] < rate < rate_window[1]
         passed = passed and ok
-        details.append(f"{algo}: rate {rate:.3f}" + (f", {cap_events} cap events" if cap_events else ""))
+        details.append(f"{algo}: rate {rate:.3f}, {early} early rejections"
+                       + (f", {cap_events} cap events" if cap_events else ""))
         if compare_acf:
             acfs[algo].append(acf(f_series, acf_max_lag)[1:])
     if compare_acf:
@@ -334,7 +343,7 @@ def run_selftest(level: str = _QUICK, master_seed: int = 20260815,
         timed(lambda: check_variance_reduction(master_seed, steps=20, n_particles=50,
                                                replicates=20, repetitions=3, min_wins=2,
                                                cap=100_000, workers=workers or 1))
-        timed(lambda: check_grid_posterior(master_seed, iterations=4_000, tolerance=0.15))
+        timed(lambda: check_grid_posterior(master_seed, iterations=4_000, tolerance=0.05))
         timed(lambda: check_sv_posterior_sampling(master_seed, iterations=120, n_particles=20,
                                                   steps=40, seeds=1, acf_slack=1.0,
                                                   rate_window=(0.0, 1.0), acf_max_lag=10,

@@ -23,11 +23,20 @@ changes the trajectory a seed gives but not its law.
 
 A standard multinomial bootstrap filter over an explicit observation density
 is included as the baseline the accept/reject filters are compared against.
+
+Every plain alive factor (N - 1) / (T - 1) is at most 1, so the running log
+estimate only falls.  A caller that rejects whenever the final log estimate
+is at most some floor (the pseudo-marginal chain does) can set that floor
+with :func:`rejection_floor`; :func:`alive_filter` then stops as soon as the
+rejection is certain, raising :class:`EarlyRejection`.  Outside such a block
+no floor is set and the filter runs as if the mechanism did not exist.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -39,6 +48,11 @@ DEFAULT_TRIAL_CAP = 1_000_000
 
 _MAX_BATCH = 1 << 18
 _TOP_UP_MARGIN = 1.2
+# relative allowance on the floor for rounding in the running log estimate,
+# so that an early stop never depends on the last bits of a sum
+_FLOOR_ROUNDING = 1e-9
+
+_REJECTION_FLOOR: ContextVar[Optional[float]] = ContextVar("rejection_floor", default=None)
 
 
 class StoppingTimeCapError(RuntimeError):
@@ -54,6 +68,14 @@ class StoppingTimeCapError(RuntimeError):
             f"stopping-time cap exceeded at step {step}: "
             f"{accepted}/{target} acceptances after {drawn} of at most {cap} proposals"
         )
+
+
+class EarlyRejection(RuntimeError):
+    """Raised when a plain alive run can no longer end above its rejection floor."""
+
+    def __init__(self, step: int):
+        self.step = step
+        super().__init__(f"log estimate certain to end at or below the rejection floor at step {step}")
 
 
 class ParticleDeathError(RuntimeError):
@@ -144,6 +166,38 @@ def checked_observations(observations, dtype=None) -> np.ndarray:
     return observations
 
 
+@contextmanager
+def rejection_floor(log_floor: Optional[float]):
+    """Within the block, :func:`alive_filter` raises EarlyRejection as soon as
+    its log estimate is certain to end at or below ``log_floor``; None sets
+    no floor.  The floor is scoped like ``np.errstate``: it is restored on
+    exit and is private to the current thread or task."""
+    token = _REJECTION_FLOOR.set(log_floor)
+    try:
+        yield
+    finally:
+        _REJECTION_FLOOR.reset(token)
+
+
+def _floor_cap(log_partial: float, log_floor: float, n_particles: int, cap: int, step: int) -> int:
+    """Step ``step``'s proposal cap under a rejection floor; raises
+    EarlyRejection if the run is already certain to end at or below it.
+
+    Later factors are at most 1, so the final log estimate is at most
+    log_partial + log((N - 1) / (T - 1)), which is at most the floor once
+    T >= 1 + (N - 1) exp(log_partial - log_floor).  A cap of the integer part
+    of that bound stops every stopping time above it, while one exactly at it
+    (a tie) runs on; the floor is first lowered by a rounding allowance, so
+    every stop is certain.
+    """
+    gap = log_partial - log_floor + _FLOOR_ROUNDING * (1.0 + abs(log_floor))
+    if gap <= 0.0:
+        raise EarlyRejection(step)
+    if gap >= math.log(cap):  # the hard cap binds first
+        return cap
+    return min(cap, math.floor(1.0 + (n_particles - 1) * math.exp(gap)))
+
+
 def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
                        kernel, observed, target: int, cap: int,
                        stream: np.random.Generator,
@@ -226,6 +280,12 @@ def alive_filter(model, kernel, observations, n_particles: int,
     observation from each, until n_particles of them are accepted by the
     kernel.  Returns (generations, estimate) where the estimate's step factor
     is (n_particles - 1) / (T_step - 1).
+
+    Under a :func:`rejection_floor` (read once on entry), each step's cap is
+    lowered to the stopping time beyond which the estimate must end at or
+    below the floor; reaching it, or starting a step already there, raises
+    EarlyRejection.  Reaching the hard ``cap`` first raises
+    StoppingTimeCapError as without a floor.
     """
     if stream is None:
         raise ValueError("an explicit random stream is required")
@@ -233,12 +293,15 @@ def alive_filter(model, kernel, observations, n_particles: int,
         raise ValueError(f"need at least 2 particles, got {n_particles}")
     observations = checked_observations(observations)
 
+    log_floor = _REJECTION_FLOOR.get()
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
+    log_partial = 0.0
     batch_hint = None
     accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
 
     for t, y in enumerate(observations):
+        step_cap = cap if log_floor is None else _floor_cap(log_partial, log_floor, n_particles, cap, t)
         propose_latents = latent_proposer(model, accepted_states)
 
         def propose(stream, count):
@@ -246,10 +309,15 @@ def alive_filter(model, kernel, observations, n_particles: int,
             out["pseudo_obs"] = model.observation_sampler(out["states"], stream)
             return out
 
-        pool, stopping_time = sample_until_alive(
-            propose, kernel, y, n_particles, cap, stream,
-            batch_hint=batch_hint, step=t,
-        )
+        try:
+            pool, stopping_time = sample_until_alive(
+                propose, kernel, y, n_particles, step_cap, stream,
+                batch_hint=batch_hint, step=t,
+            )
+        except StoppingTimeCapError:
+            if step_cap < cap:
+                raise EarlyRejection(t) from None
+            raise
         generation = ParticleGeneration(
             states=pool["states"],
             pseudo_obs=pool["pseudo_obs"],
@@ -258,6 +326,7 @@ def alive_filter(model, kernel, observations, n_particles: int,
         )
         generations.append(generation)
         log_factors.append(math.log(n_particles - 1) - math.log(stopping_time - 1))
+        log_partial += log_factors[-1]
         batch_hint = math.ceil(1.3 * stopping_time)
         accepted_states = pool["states"][pool["weights"][: stopping_time - 1].nonzero()[0]]
 

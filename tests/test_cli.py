@@ -378,6 +378,18 @@ class TestPmmh:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "twist" not in summary
 
+    def test_summary_counts_early_rejections_apart_from_cap_events(self, tmp_path, sv_config):
+        data = self._data(tmp_path, sv_config)
+        out_dir = tmp_path / "early"
+        assert cli.main(["pmmh", "--algo", "alive",
+                         "--config", self._config(tmp_path, iterations=30), "--data", data,
+                         "--seed", "13", "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        rejected = round(30 * (1 - summary["acceptance_rate"]))
+        assert 0 < summary["early_rejected"] <= rejected - summary["cap_exceeded"]
+        header, _ = _read_csv(out_dir / "chain.csv")
+        assert header == ["iteration", "F", "nu2", "gamma", "log_zhat", "accepted"]
+
     def test_short_chain_acf_is_nan_not_an_error(self, tmp_path, sv_config):
         data = self._data(tmp_path, sv_config)
         out_dir = tmp_path / "shortacf"

@@ -19,11 +19,17 @@ from alivetwist.pmmh import (
     sv_propose,
     sv_sample_prior,
 )
+from alivetwist import smc
+from alivetwist.configs import PmmhConfig
+from alivetwist.experiments import sv_filter_runner
 from alivetwist.rng import gaussian
+from alivetwist.selftest import synthetic_sv_record
 from alivetwist.smc import (
     BootstrapGeneration,
+    EarlyRejection,
     NormConstEstimate,
     StoppingTimeCapError,
+    rejection_floor,
 )
 
 from helpers import ScriptedStream, stream_for
@@ -182,7 +188,7 @@ class TestPmmhStep:
         def run(theta, stream):
             raise StoppingTimeCapError(3, 10, 0, 5, 10)
 
-        stream = ScriptedStream()
+        stream = ScriptedStream(uniforms=[0.5])
         state, info = pmmh_step(self._state(), run, lambda t: 0.0, lambda t, s: (1, 0.0), stream)
         assert stream.exhausted()
         assert info.cap_exceeded and not info.accepted
@@ -204,6 +210,88 @@ class TestPmmhStep:
         assert not info.accepted and not info.cap_exceeded
         assert info.log_ratio == float("-inf")
         assert state.theta == 0
+
+
+class TestEarlyRejectionStep:
+    def _state(self):
+        return PmmhState(theta=0, log_prior=0.0, log_zhat=-1.0)
+
+    def test_filter_runs_under_the_needed_floor(self):
+        """needed = log u - (prior ratio + correction) + current log estimate,
+        drawn after the candidate and before the filter's own draws."""
+        floors = []
+
+        def run(theta, stream):
+            floors.append(smc._REJECTION_FLOOR.get())
+            return _stub_filter(-1.5)(theta, stream)
+
+        stream = ScriptedStream(uniforms=[0.5])
+        state, info = pmmh_step(self._state(), run, lambda t: 0.25 * t, lambda t, s: (1, 0.5),
+                                stream)
+        assert stream.exhausted()
+        assert floors == [pytest.approx(math.log(0.5) - 0.75 - 1.0)]
+        assert info.accepted and state.log_zhat == -1.5
+        assert smc._REJECTION_FLOOR.get() is None
+
+    def test_early_rejection_is_not_a_cap_event(self):
+        def run(theta, stream):
+            raise EarlyRejection(4)
+
+        stream = ScriptedStream(uniforms=[0.5])
+        before = self._state()
+        state, info = pmmh_step(before, run, lambda t: 0.0, lambda t, s: (1, 0.0), stream)
+        assert stream.exhausted()
+        assert info.early_rejected and not info.cap_exceeded and not info.accepted
+        assert state is before
+
+    def test_chain_counts_early_rejections_apart_from_cap_events(self):
+        outcomes = iter([EarlyRejection(0), StoppingTimeCapError(0, 10, 0, 5, 10),
+                         EarlyRejection(1)])
+        floors = []
+
+        def run(theta, stream):
+            floors.append(smc._REJECTION_FLOOR.get())
+            if len(floors) == 1:  # the initial state
+                return _stub_filter(0.0)(theta, stream)
+            raise next(outcomes)
+
+        record = run_chain(run, lambda t: 0.0, lambda t, s: (1 - t, 0.0), lambda s: 0, 3,
+                           stream_for(315))
+        assert floors[0] is None and None not in floors[1:]
+        assert (record.early_rejected, record.cap_exceeded) == (2, 1)
+        assert record.thetas == [0, 0, 0, 0]
+
+    def test_acceptance_probability_matches_the_full_run(self):
+        """For one fixed (state, candidate) on a short volatility record, the
+        acceptance rate with the floor and without it agree within 3 SE."""
+        config = PmmhConfig(
+            iterations=1, n_particles=20, epsilon=3.5, lag=5, cap=1_000_000, alpha=1.95,
+            beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
+        )
+        run_filter = sv_filter_runner(synthetic_sv_record(906, 20), config, "alive")
+        prior = SvPriorSpec()
+        current, candidate = SvTheta(0.5, 0.01, 0.5), SvTheta(0.5, 0.01, 0.55)
+        state = PmmhState(current, sv_log_prior(prior, current), -5.6)
+
+        def unfloored(theta, stream):
+            with rejection_floor(None):
+                return run_filter(theta, stream)
+
+        reps = 500
+        rates, early = [], []
+        for arm, runner in enumerate((run_filter, unfloored)):
+            infos = [
+                pmmh_step(state, runner, lambda t: sv_log_prior(prior, t),
+                          lambda t, s: (candidate, 0.0), stream_for(907 + arm, rep))[1]
+                for rep in range(reps)
+            ]
+            rates.append(np.mean([info.accepted for info in infos]))
+            early.append(sum(info.early_rejected for info in infos))
+        assert early[0] > reps // 4 and early[1] == 0
+        pooled = np.mean(rates)
+        se = math.sqrt(2 * pooled * (1 - pooled) / reps)
+        assert 0.2 < pooled < 0.8
+        assert abs(rates[0] - rates[1]) <= 3 * se
 
 
 class TestRunChain:

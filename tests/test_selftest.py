@@ -1,10 +1,21 @@
-"""Selftest checks: reproducibility across processes and the replicate-mean rule."""
+"""Selftest checks: reproducibility across processes, the replicate-mean rule,
+and the grid-posterior oracle's power to fail."""
 
 import subprocess
 import sys
 
+import pytest
+
+from alivetwist import selftest
+from alivetwist.pmmh import run_chain
 from alivetwist.rng import SeedSpec, derive_stream
-from alivetwist.selftest import _replicate_means, check_discrete_unbiasedness, toy_discrete_instance
+from alivetwist.selftest import (
+    _replicate_means,
+    check_discrete_unbiasedness,
+    check_grid_posterior,
+    toy_discrete_instance,
+)
+from alivetwist.smc import NormConstEstimate, StoppingTimeCapError
 
 from helpers import src_env
 
@@ -50,3 +61,50 @@ def test_constant_estimate_on_its_target_passes():
     result = _replicate_means("constant", [_constant_case(1.0, 1.0)])
     assert result.passed
     assert result.detail == "mean 1.000 vs 1.000 (z = 0.00)"
+
+
+GRID_SEED = 20260815
+
+
+def test_grid_posterior_passes_under_early_rejection(monkeypatch):
+    """The grid chain runs plain alive filters, so its candidates run under
+    the rejection floor; it still reproduces the exact posterior."""
+    records = []
+
+    def spy(*args):
+        records.append(run_chain(*args))
+        return records[-1]
+
+    monkeypatch.setattr(selftest, "run_chain", spy)
+    result = check_grid_posterior(GRID_SEED, iterations=2000, tolerance=0.05)
+    assert result.passed, result.detail
+    assert records[0].early_rejected > 0
+
+
+def _stuck(run_filter, log_prior, propose, sample_prior, iterations, stream):
+    """Only the initial state's filter run completes; every candidate's exhausts
+    its cap, so the chain never leaves its start."""
+    runs = []
+
+    def first_only(theta, s):
+        if runs:
+            raise StoppingTimeCapError(0, 10, 0, 10, 10)
+        runs.append(theta)
+        return run_filter(theta, s)
+
+    return run_chain(first_only, log_prior, propose, sample_prior, iterations, stream)
+
+
+def _always_accept(run_filter, log_prior, propose, sample_prior, iterations, stream):
+    """A flat prior and a constant estimate: every flip is accepted."""
+    def flat(theta, s):
+        return [], NormConstEstimate.from_log_factors([0.0])
+
+    return run_chain(flat, lambda theta: 0.0, propose, sample_prior, iterations, stream)
+
+
+@pytest.mark.parametrize("chain", [_stuck, _always_accept], ids=["stuck", "always-accept"])
+def test_grid_posterior_fails_a_broken_chain(monkeypatch, chain):
+    monkeypatch.setattr(selftest, "run_chain", chain)
+    result = check_grid_posterior(GRID_SEED, iterations=2000, tolerance=0.05)
+    assert not result.passed, result.detail

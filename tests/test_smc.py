@@ -10,15 +10,19 @@ from scipy import stats
 
 from alivetwist import (
     AbcKernel,
+    EarlyRejection,
     LinearGaussianParams,
     NormConstEstimate,
     ParticleDeathError,
     ParticleGeneration,
     StoppingTimeCapError,
     alive_filter,
+    alive_twisted_filter,
     bootstrap_filter,
     kalman_log_marginal,
     lg_model,
+    lg_twist,
+    rejection_floor,
     sample_until_alive,
     simulate,
 )
@@ -334,6 +338,140 @@ class TestAliveFilter:
             )
             stored += sum(g.stopping_time for g in generations)
         assert kernel.scored / stored <= 1.8
+
+
+def scripted_model(patterns):
+    """A model whose step-t proposals accept or reject as ``patterns[t]`` says.
+
+    Latent states count steps (the initial draw is 0 and each transition adds
+    1), so the observation sampler reads the step off the states and feeds
+    it from that step's own ``scripted_proposer``: a step sees the same
+    proposals in the same order however its batches are sized.  Returns the
+    model and the per-step proposers, whose ``sizes`` record every batch.
+    """
+    proposers = [scripted_proposer(pattern) for pattern in patterns]
+
+    def observe(states, stream):
+        return proposers[int(states[0]) - 1](stream, states.size)["pseudo_obs"]
+
+    model = HmmModel(lambda stream, count: np.zeros(count), lambda k, stream: k + 1, observe)
+    return model, proposers
+
+
+def _stopping_pattern(stop, target=5):
+    """Acceptances at the first target - 1 proposals and at position ``stop``."""
+    pattern = np.zeros(stop, dtype=np.int64)
+    pattern[: target - 1] = 1
+    pattern[-1] = 1
+    return pattern
+
+
+class TestEarlyRejection:
+    """Under a rejection floor the plain alive filter stops only where the full
+    run ends at or below the floor, and otherwise returns the full run itself.
+
+    Each case runs the same scripted proposals with and without the floor.
+    """
+
+    N = 5
+
+    def _both(self, patterns, log_floor, cap=1000):
+        """(full run's estimate, floored run's estimate or EarlyRejection, floored proposers)."""
+        observations = np.zeros(len(patterns))
+        model, _ = scripted_model(patterns)
+        generations, full = alive_filter(model, BinaryKernel(), observations, self.N, cap,
+                                         stream_for(0))
+        model, proposers = scripted_model(patterns)
+        with rejection_floor(log_floor):
+            try:
+                _, floored = alive_filter(model, BinaryKernel(), observations, self.N, cap,
+                                          stream_for(0))
+            except EarlyRejection as stop:
+                floored = stop
+        return generations, full, floored, proposers
+
+    def test_floor_above_zero_rejects_before_drawing(self):
+        """Every factor is at most 1, so no run can end above a positive floor."""
+        patterns = [np.ones(self.N, dtype=np.int64)] * 3
+        _, full, floored, proposers = self._both(patterns, log_floor=0.5)
+        assert full.log_total <= 0.5
+        assert isinstance(floored, EarlyRejection) and floored.step == 0
+        assert all(p.sizes == [] for p in proposers)
+
+    def test_stop_at_a_mid_record_cap(self):
+        """After factors 1 and 4/8, a floor of -2 caps step 2 at
+        floor(1 + 4 exp(log(1/2) + 2)) = 15 proposals; its stopping time is 40."""
+        patterns = [_stopping_pattern(5), _stopping_pattern(9), _stopping_pattern(40),
+                    _stopping_pattern(5)]
+        generations, full, floored, proposers = self._both(patterns, log_floor=-2.0)
+        assert [g.stopping_time for g in generations] == [5, 9, 40, 5]
+        assert full.log_total <= -2.0
+        assert isinstance(floored, EarlyRejection) and floored.step == 2
+        assert sum(proposers[2].sizes) == 15
+        assert proposers[3].sizes == []
+
+    @pytest.mark.parametrize("stop, stopped", [(9, False), (10, True)])
+    def test_stopping_time_at_the_boundary(self, stop, stopped):
+        """A floor of -log 2 puts step 0's bound at 1 + 4 * 2 = 9.  T = 9 ties
+        with the floor in exact arithmetic and runs on to the full run's
+        estimate, whose rounding decides the test; T = 10 stops."""
+        patterns = [_stopping_pattern(stop), _stopping_pattern(5)]
+        _, full, floored, proposers = self._both(patterns, log_floor=-math.log(2))
+        if stopped:
+            assert full.log_total <= -math.log(2)
+            assert isinstance(floored, EarlyRejection) and floored.step == 0
+            assert sum(proposers[0].sizes) == 9
+        else:
+            assert floored.log_factors == full.log_factors
+            assert floored.log_total == full.log_total
+
+    def test_completed_run_is_the_full_run(self):
+        patterns = [_stopping_pattern(5), _stopping_pattern(9), _stopping_pattern(12)]
+        _, full, floored, _ = self._both(patterns, log_floor=-3.0)
+        assert full.log_total > -3.0
+        assert floored.log_factors == full.log_factors
+
+    def test_floor_cap_above_the_hard_cap_changes_nothing(self):
+        """A floor far below the estimate leaves the hard cap in charge: the
+        same batches, and the same StoppingTimeCapError, as without a floor."""
+        patterns = [_stopping_pattern(9), _stopping_pattern(300)]
+        observations = np.zeros(2)
+        outcomes = []
+        for log_floor in (None, -50.0):
+            model, proposers = scripted_model(patterns)
+            with rejection_floor(log_floor), pytest.raises(StoppingTimeCapError) as info:
+                alive_filter(model, BinaryKernel(), observations, self.N, 100, stream_for(0))
+            outcomes.append(([p.sizes for p in proposers], info.value.step, info.value.drawn,
+                             info.value.accepted))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1:] == (1, 100, 4)
+
+    def test_floor_is_scoped_to_its_block(self):
+        patterns = [np.ones(self.N, dtype=np.int64)]
+        with rejection_floor(0.5):
+            with rejection_floor(None):
+                alive_filter(scripted_model(patterns)[0], BinaryKernel(), [0.0], self.N,
+                             stream=stream_for(0))
+            with pytest.raises(EarlyRejection):
+                alive_filter(scripted_model(patterns)[0], BinaryKernel(), [0.0], self.N,
+                             stream=stream_for(0))
+        alive_filter(scripted_model(patterns)[0], BinaryKernel(), [0.0], self.N,
+                     stream=stream_for(0))
+
+    def test_twisted_filter_ignores_the_floor(self):
+        """The twisted factor is not bounded by 1, so its estimate is not
+        monotone and the floor must not stop it."""
+        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+        model = lg_model(params)
+        _, observations = simulate(model, 10, stream_for(230))
+        kernel = AbcKernel(epsilon=1.2, mode="absolute")
+        estimates = []
+        for log_floor in (None, 0.5):
+            with rejection_floor(log_floor):
+                _, estimate = alive_twisted_filter(model, kernel, lg_twist(params, 3),
+                                                   observations, 20, stream=stream_for(231))
+            estimates.append(estimate.log_total)
+        assert estimates[0] == estimates[1]
 
 
 class TestBootstrapFilter:
