@@ -90,14 +90,13 @@ class ParticleDeathError(RuntimeError):
 class ParticleGeneration:
     """One step's pool from an accept/reject filter.
 
-    states/pseudo_obs/weights all have length ``stopping_time``; weights are
+    states and weights both have length ``stopping_time``; weights are
     binary with the final entry 1.  twisted_index marks the slot occupied by
     the guided particle when a twisted variant produced this generation, and
     the two log sums record that step's guidance diagnostics.
     """
 
     states: np.ndarray
-    pseudo_obs: np.ndarray
     weights: np.ndarray
     stopping_time: int
     twisted_index: Optional[int] = None
@@ -108,8 +107,8 @@ class ParticleGeneration:
         """Raise ValueError unless the structural invariants hold."""
         t = self.stopping_time
         _require(t >= target, "stopping time cannot be below the acceptance target")
-        _require(len(self.states) == len(self.pseudo_obs) == len(self.weights) == t,
-                 "states, pseudo_obs and weights must all have length stopping_time")
+        _require(len(self.states) == len(self.weights) == t,
+                 "states and weights must both have length stopping_time")
         _require(set(np.unique(self.weights)).issubset({0, 1}), "weights must be binary")
         _require(int(self.weights.sum()) == target, "acceptances must hit the target exactly")
         _require(int(self.weights[-1]) == 1, "the final stored particle must be accepted")
@@ -250,23 +249,24 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             size *= 2
 
 
-def latent_proposer(model, accepted_states: Optional[np.ndarray] = None):
-    """``propose(stream, count)`` for one alive step's plain latent proposals.
+def alive_proposer(model, accepted_states: Optional[np.ndarray] = None):
+    """``propose(stream, count)`` for one alive step's plain proposals.
 
     At the first step (``accepted_states`` None) each proposal is the initial
     draw plus one transition.  Later, each picks one of ``accepted_states``,
     the previous pool's accepted particles among its first T - 1, uniformly
     and moves it one transition on.  Each call returns {'states': the
-    proposed states}.
+    proposed states, 'pseudo_obs': one observation simulated from each}.
     """
-    if accepted_states is None:
-        def propose(stream, count):
-            k0 = model.init_state_sampler(stream, count)
-            return {"states": model.transition_sampler(k0, stream)}
-    else:
-        def propose(stream, count):
-            picks = stream.integers(0, accepted_states.size, size=count)
-            return {"states": model.transition_sampler(accepted_states[picks], stream)}
+
+    def propose(stream, count):
+        if accepted_states is None:
+            k = model.init_state_sampler(stream, count)
+        else:
+            k = accepted_states[stream.integers(0, accepted_states.size, size=count)]
+        states = model.transition_sampler(k, stream)
+        return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+
     return propose
 
 
@@ -302,16 +302,9 @@ def alive_filter(model, kernel, observations, n_particles: int,
 
     for t, y in enumerate(observations):
         step_cap = cap if log_floor is None else _floor_cap(log_partial, log_floor, n_particles, cap, t)
-        propose_latents = latent_proposer(model, accepted_states)
-
-        def propose(stream, count):
-            out = propose_latents(stream, count)
-            out["pseudo_obs"] = model.observation_sampler(out["states"], stream)
-            return out
-
         try:
             pool, stopping_time = sample_until_alive(
-                propose, kernel, y, n_particles, step_cap, stream,
+                alive_proposer(model, accepted_states), kernel, y, n_particles, step_cap, stream,
                 batch_hint=batch_hint, step=t,
             )
         except StoppingTimeCapError:
@@ -320,7 +313,6 @@ def alive_filter(model, kernel, observations, n_particles: int,
             raise
         generation = ParticleGeneration(
             states=pool["states"],
-            pseudo_obs=pool["pseudo_obs"],
             weights=pool["weights"],
             stopping_time=stopping_time,
         )

@@ -51,7 +51,10 @@ observation.
 The guided (state, pseudo-observation) pair is drawn from the h-reweighted
 transition *conditioned on acceptance* by rejection: the first
 ``propose_guided_states`` candidate whose simulated observation the kernel
-accepts, so the guided particle lands inside the kernel's ball.
+accepts, so the guided particle lands inside the kernel's ball.  Each alive
+step reads its stream in this order: the guided anchor, the plain pool (one
+``sample_until_alive`` call), the guided candidates (a second call, on the
+proposals the pool left of the cap), then the guided slot.
 
 The alive step factor is then [sum of qh-with-acceptance over the previous
 pool's accepted particles] / [sum of h over the current pool's accepted
@@ -80,8 +83,8 @@ from .smc import (
     ParticleGeneration,
     StoppingTimeCapError,
     _logsumexp1d,
+    alive_proposer,
     checked_observations,
-    latent_proposer,
     sample_until_alive,
 )
 
@@ -444,26 +447,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     return generations, NormConstEstimate.from_log_factors(log_factors)
 
 
-GUIDED_PREFIX = 8  # guided candidates in front of each step's first plain batch
-
-
-def _guided_pair_after_prefix(propose_guided, prefix, kernel, y, spent: int, cap: int,
-                              n_particles: int, stream, step: int):
-    """(state, pseudo_obs) of the first accepted ``prefix`` candidate, else of
-    the first accepted one ``propose_guided`` draws within ``cap - spent``."""
-    hits = kernel.weights(prefix["pseudo_obs"], y).nonzero()[0]
-    if hits.size:
-        return prefix["states"][hits[0]], prefix["pseudo_obs"][hits[0]]
-    if cap > spent:
-        try:
-            found, _ = sample_until_alive(
-                propose_guided, kernel, y, 1, cap - spent, stream,
-                batch_hint=4 * GUIDED_PREFIX, step=step,
-            )
-            return found["states"][-1], found["pseudo_obs"][-1]
-        except StoppingTimeCapError as err:
-            spent += err.drawn
-    raise StoppingTimeCapError(step, spent, n_particles - 1, n_particles, cap)
+GUIDED_BATCH = 8  # first batch of guided candidates per step
 
 
 def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
@@ -476,23 +460,22 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     one-step expectation ``qh_alive`` is qh times the probability that a
     fresh simulation lands inside the kernel's acceptance region.
 
-    Per step: one guided ancestor is drawn proportional to qh_alive among the
-    previous pool's accepted particles (first T - 1 slots), and the guided
-    (state, pseudo-observation) pair comes from the h-reweighted transition
-    *conditioned on acceptance*, so the guided slot is always alive.
-    Ordinary proposals continue until n_particles - 1 are accepted, through
-    one sample_until_alive call, and the guided particle is placed at a
-    uniformly drawn slot among the first T - 1.
+    Per step, in stream order: one guided ancestor is drawn proportional to
+    qh_alive among the previous pool's accepted particles (first T - 1
+    slots); ordinary proposals continue until n_particles - 1 are accepted,
+    through one sample_until_alive call; the guided (state,
+    pseudo-observation) pair is the first accepted ``propose_guided_states``
+    candidate of a second call, so it comes from the h-reweighted transition
+    *conditioned on acceptance* and the guided slot is always alive; last,
+    the guided particle is placed at a uniformly drawn slot among the first
+    T - 1.
 
-    The guided pair is drawn by rejection: GUIDED_PREFIX candidates from
-    ``propose_guided_states`` ride in front of the pool's first batch, so one
-    simulated-observation batch serves both; the first accepted one is the
-    pair, and if none is, sample_until_alive draws more from what the pool
-    left of the cap.  Guided candidates up to the accepted one plus plain
-    proposals up to the stopping position never exceed the cap; a step that
-    cannot go alive within it raises StoppingTimeCapError with the step's
-    own accounting (target n_particles, the filter's cap).  A cap below
-    n_particles is a bad argument (ValueError), as in alive_filter.
+    Plain proposals up to the stopping position plus guided candidates up to
+    the accepted one never exceed the cap: the guided call gets what the pool
+    left.  A step that cannot go alive within it raises StoppingTimeCapError
+    with the step's own accounting (target n_particles, the filter's cap).
+    A cap below n_particles is a bad argument (ValueError), as in
+    alive_filter.
 
     The step factor is the previous pool's accepted-particle sum of qh_alive
     over the current pool's accepted-particle sum of h (first T - 1 slots
@@ -515,7 +498,6 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     log_factors: List[float] = []
     batch_hint = None
     accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
-    reserved = min(GUIDED_PREFIX, cap - n_particles + 1)
 
     for t in range(observations.size):
         y = observations[t]
@@ -530,50 +512,34 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
                 stream, twist.log_qh_alive(y_window, accepted_states, kernel)
             )
             guided_anchor = accepted_states[pick]
-        propose_latents = latent_proposer(model, accepted_states)
 
         def propose_guided(stream, count):
             states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
             return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
 
-        prefix = {}  # the step's guided candidates, drawn with the first plain batch
-
-        def propose(stream, count):
-            if prefix:
-                out = propose_latents(stream, count)
-                out["pseudo_obs"] = model.observation_sampler(out["states"], stream)
-                return out
-            guided = prefix["states"] = twist.propose_guided_states(
-                guided_anchor, y_window, stream, reserved
-            )
-            out = propose_latents(stream, count)
-            obs = model.observation_sampler(np.concatenate([guided, out["states"]]), stream)
-            prefix["pseudo_obs"], out["pseudo_obs"] = obs[:reserved], obs[reserved:]
-            return out
-
+        rest = 0  # plain proposals up to the pool's stopping position, once it has one
         try:
             pool, rest = sample_until_alive(
-                propose, kernel, y, n_particles - 1, cap - reserved, stream,
+                alive_proposer(model, accepted_states), kernel, y, n_particles - 1, cap, stream,
                 batch_hint=batch_hint, step=t,
             )
+            if rest == cap:  # nothing left to draw the guided pair with
+                raise StoppingTimeCapError(t, 0, 0, 1, 0)
+            guided, _ = sample_until_alive(
+                propose_guided, kernel, y, 1, cap - rest, stream, batch_hint=GUIDED_BATCH, step=t,
+            )
         except StoppingTimeCapError as err:
-            raise StoppingTimeCapError(
-                t, reserved + err.drawn, err.accepted, n_particles, cap
-            ) from None
-        guided_state, guided_obs = _guided_pair_after_prefix(
-            propose_guided, prefix, kernel, y, reserved + rest, cap, n_particles, stream, t
-        )
+            accepted = n_particles - 1 if rest else err.accepted
+            raise StoppingTimeCapError(t, rest + err.drawn, accepted, n_particles, cap) from None
         stopping_time = rest + 1
         slot = int(stream.integers(0, stopping_time - 1))
-        states = _insert_scalar(pool["states"], slot, guided_state)
-        pseudo_obs = _insert_scalar(pool["pseudo_obs"], slot, guided_obs)
+        states = _insert_scalar(pool["states"], slot, guided["states"][-1])
         weights = _insert_scalar(pool["weights"], slot, 1)
 
         accepted_states = states[weights[: stopping_time - 1].nonzero()[0]]
         log_denominator = _logsumexp1d(twist.log_h(y_window, accepted_states))
         generation = ParticleGeneration(
             states=states,
-            pseudo_obs=pseudo_obs,
             weights=weights,
             stopping_time=stopping_time,
             twisted_index=slot,

@@ -51,8 +51,8 @@ LG_PINNED = {
     ("bootstrap", 902): -34.86823834904773,
     ("twisted-bootstrap", 901): -34.6171201833158,
     ("twisted-bootstrap", 902): -35.5419853143531,
-    ("alive-twisted", 901): -17.19546891906177,
-    ("alive-twisted", 902): -18.060156019097143,
+    ("alive-twisted", 901): -18.212326766091604,
+    ("alive-twisted", 902): -18.127336083980644,
 }
 
 
@@ -67,7 +67,7 @@ def test_alive_twisted_on_a_volatility_record():
         sv_model(SV_PARAMS), AbcKernel(epsilon=3.5, mode="relative"), sv_twist(SV_PARAMS, 5),
         observations, 20, stream=stream_for(903, 1),
     )
-    assert estimate.log_total == pytest.approx(-8.186707521236558, abs=1e-12)
+    assert estimate.log_total == pytest.approx(-8.20659678026029, abs=1e-12)
 
 
 def test_alive_twisted_on_discrete_data():
@@ -76,7 +76,7 @@ def test_alive_twisted_on_discrete_data():
         model, DiscreteBallKernel(params.acceptance), acceptance_prob_twist(params, observations, 2),
         observations, 15, stream=stream_for(904, 1),
     )
-    assert estimate.log_total == pytest.approx(-4.962966058088273, abs=1e-12)
+    assert estimate.log_total == pytest.approx(-4.963169133769888, abs=1e-12)
 
 
 def test_short_volatility_chain():
@@ -85,16 +85,16 @@ def test_short_volatility_chain():
         beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
     )
     record = run_sv_pmmh(synthetic_sv_record(905, 30), config, "alive-twisted", 905)
-    np.testing.assert_array_equal(record.accepted, [1, 1, 0, 1, 0, 0, 0])
+    np.testing.assert_array_equal(record.accepted, [1, 0, 1, 0, 1, 0, 1])
     np.testing.assert_allclose(
         record.log_zhats,
-        [-40.12886550777451, -30.973049866408505, -30.973049866408505, -26.512077396710563,
-         -26.512077396710563, -26.512077396710563, -26.512077396710563],
+        [-40.13040856980326, -40.13040856980326, -28.4026112892346, -28.4026112892346,
+         -22.39937682516564, -22.39937682516564, -19.83796299677274],
         rtol=0, atol=1e-12,
     )
     np.testing.assert_allclose(
         record.theta_field("F"),
-        [0.3863627050542504, -0.4375470300901929, -0.4375470300901929, -0.6385400724332877,
-         -0.6385400724332877, -0.6385400724332877, -0.6385400724332877],
+        [0.3863627050542504, 0.3863627050542504, -0.5733129808394453, -0.5733129808394453,
+         0.20218582783871641, 0.20218582783871641, -0.7820287321272836],
         rtol=0, atol=1e-12,
     )

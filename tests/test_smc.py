@@ -75,7 +75,7 @@ class TestErrors:
         which strips assert statements."""
         script = (
             "import numpy as np; from alivetwist import ParticleGeneration\n"
-            "pool = ParticleGeneration(np.zeros(3), np.zeros(3), np.array([0, 2, 1]), 3)\n"
+            "pool = ParticleGeneration(np.zeros(3), np.array([0, 2, 1]), 3)\n"
             "try:\n    pool.validate(3)\nexcept ValueError as err:\n    print(err)"
         )
         done = subprocess.run(
@@ -472,6 +472,47 @@ class TestEarlyRejection:
                                                    observations, 20, stream=stream_for(231))
             estimates.append(estimate.log_total)
         assert estimates[0] == estimates[1]
+
+
+class _ScriptedGuidance:
+    """A constant twist for ``scripted_model``: its guided candidates are
+    step-0 states, fed from step 0's own pattern, and the size of every
+    ``propose_guided_states`` call is recorded in ``sizes``."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def log_h(self, y_window, k):
+        return np.zeros(np.shape(k))
+
+    def log_qh_alive(self, y_window, k, kernel):
+        return np.zeros(np.shape(k))  # 0-d for the initial law (k None)
+
+    def propose_guided_states(self, k_anc, y_window, stream, count):
+        self.sizes.append(count)
+        return np.ones(count)
+
+
+class TestTwistedStepBudget:
+    """An alive twisted step draws its guided pair on what the plain pool
+    left of the cap, and charges the whole step to a cap error."""
+
+    @pytest.mark.parametrize("stop, guided_sizes", [(20, []), (19, [1])])
+    def test_pool_ending_at_the_cap(self, stop, guided_sizes):
+        """The pool's 4th (n - 1) acceptance comes at proposal ``stop`` of a
+        cap of 20.  At the cap, the step fails without drawing a guided
+        candidate; one short, the guided call gets exactly one candidate,
+        which the exhausted pattern rejects.  Either way the error charges
+        the whole cap and the pool's 4 acceptances."""
+        model, proposers = scripted_model([_stopping_pattern(stop, target=4)])
+        twist = _ScriptedGuidance()
+        with pytest.raises(StoppingTimeCapError) as info:
+            alive_twisted_filter(model, BinaryKernel(), twist, [0.0], 5, cap=20,
+                                 stream=stream_for(0))
+        err = info.value
+        assert (err.step, err.drawn, err.accepted, err.target, err.cap) == (0, 20, 4, 5, 20)
+        assert twist.sizes == guided_sizes
+        assert proposers[0].sizes == [20] + guided_sizes
 
 
 class TestBootstrapFilter:

@@ -192,6 +192,32 @@ class TestAliveTwisted:
         with pytest.raises(ValueError):
             alive_twisted_filter(model, kernel, twist, [], 10, stream=stream_for(0))
 
+    def test_hand_traced_single_step(self):
+        """Two particles, one step, cap 2, every random draw scripted by hand.
+
+        The stream is read as: the plain pool (a batch of two proposals,
+        each an initial draw, a transition and an observation), then the
+        guided candidates (one state from the initial draw plus one
+        transition, N(0, (1 + phi^2) nu2), untwisted at lag 0, and its
+        observation), then the slot.  The pool stops at its first proposal,
+        leaving one proposal of the cap for the guided pair."""
+        model = lg_model(PARAMS)
+        kernel = AbcKernel(epsilon=1e12, mode="absolute")
+        normals = [0.3, -0.7, 1.1, 0.4, -0.2, 0.9, -1.3, 0.6]
+        stream = ScriptedStream(integers=[0], normals=normals)
+        generations, estimate = alive_twisted_filter(
+            model, kernel, lg_twist(PARAMS, 0), [0.5], 2, cap=2, stream=stream
+        )
+        assert stream.exhausted()
+        sd = math.sqrt(PARAMS.nu2)
+        plain = PARAMS.phi * sd * normals[0] + sd * normals[2]
+        guided = math.sqrt((1.0 + PARAMS.phi**2) * PARAMS.nu2) * normals[6]
+        generation = generations[0]
+        assert (generation.stopping_time, generation.twisted_index) == (2, 0)
+        np.testing.assert_allclose(generation.states, [guided, plain], rtol=1e-15)
+        np.testing.assert_array_equal(generation.weights, [1, 1])
+        assert estimate.log_total == 0.0
+
     def test_accept_everything_constant_twist_is_exactly_zero(self):
         """Accept-all kernel plus constant twist: numerator and denominator
         are both log(N - 1) every step, so a long run accumulates exactly 0."""
@@ -267,8 +293,7 @@ class TestAliveTwisted:
 
     def test_cap_errors_on_both_paths(self):
         """A plain pool that cannot go alive reports the whole step: all
-        n_particles as the target, the filter's cap, and every proposal drawn
-        including the guided candidates in front of the pool."""
+        n_particles as the target, the filter's cap, and every proposal drawn."""
         model = lg_model(PARAMS)
         twist = lg_twist(PARAMS, 2)
         tight = AbcKernel(epsilon=1e-9, mode="absolute")
