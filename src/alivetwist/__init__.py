@@ -50,7 +50,6 @@ from .smc import (
     sample_until_alive,
 )
 from .twist import (
-    DegenerateTwistError,
     DiscreteTableTwist,
     GaussianLookaheadTwist,
     acceptance_prob_twist,
@@ -69,7 +68,6 @@ __all__ = [
     "BootstrapGeneration",
     "ChainRecord",
     "DEFAULT_TRIAL_CAP",
-    "DegenerateTwistError",
     "DiscreteBallKernel",
     "DiscreteHmmParams",
     "DiscreteTableTwist",

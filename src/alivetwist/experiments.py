@@ -147,7 +147,7 @@ def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
     """
     dates: List[datetime.date] = []
     prices: List[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         for line, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -183,7 +183,7 @@ def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
 def load_observations(path: str, column: str = "observation",
                       max_rows: Optional[int] = None) -> np.ndarray:
     """A named numeric column from a headed CSV file."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

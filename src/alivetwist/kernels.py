@@ -91,7 +91,3 @@ class DiscreteBallKernel:
     def weights(self, simulated, observed) -> np.ndarray:
         simulated = np.asarray(simulated, dtype=np.int64)
         return self.acceptance[int(observed), simulated].astype(np.int64)
-
-    def accept_mask(self, observed) -> np.ndarray:
-        """Boolean row of simulated symbols accepted for ``observed``."""
-        return self.acceptance[int(observed)]

@@ -27,7 +27,9 @@ initial draw plus one transition, and the masses come back 0-d.
 ``GaussianLookaheadTwist`` derives every hook from one conjugate tilt of its
 Gaussian next-state law by the Gaussian h: ``log_qh`` is the normaliser and
 ``_tilt`` the tilted moments; the alive acceptance mass enters at one line of
-``log_qh_alive``.
+``log_qh_alive``.  A step is untwisted (h = 1) at the record's last step and
+wherever the lookahead constants overflow, which any positive h allows; the
+only error a twist raises is ``ValueError``.
 
 The evaluation hooks must be mutually consistent (qh really is the
 transition integral of h); that consistency is what keeps the reweighted
@@ -91,15 +93,10 @@ from .smc import (
 LOG_FLOOR = float(np.log(1e-300))
 
 
-class DegenerateTwistError(RuntimeError):
-    """Raised when a twist evaluates to something non-finite."""
-
-
 def _clamped_log(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        if np.any(np.isnan(values)) or np.any(values == np.inf):
-            raise DegenerateTwistError("twist evaluated to a non-finite value")
+    if not np.all(values < np.inf):  # NaN or +inf; -inf floors below
+        raise ValueError("twist evaluated to a non-finite value")
     return np.maximum(values, LOG_FLOOR)
 
 
@@ -132,7 +129,7 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     x = -np.abs((0.5 * lo + 0.5 * hi - np.asarray(mean, dtype=float)) / sd)
     w = 0.5 * (hi - lo) / sd
     mass = ndtr(x + w) - ndtr(x - w)
-    return np.maximum(np.log(np.maximum(mass, 1e-300)), LOG_FLOOR)
+    return np.log(np.maximum(mass, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +157,9 @@ class GaussianLookaheadTwist:
     latent chain started at k with Gaussian observation variance ``obs_var``;
     qh then simply scores the same observation one transition further out, so
     the pair is consistent in closed form.  Near the end of the record the
-    lag shrinks to the remaining horizon, and at the final step (effective
-    lag 0) the twist is constant, i.e. the step is untwisted.
+    lag shrinks to the remaining horizon.  At the final step, and wherever
+    phi**lag or Var(Y_(t+lag) | K_t) overflows a float, the effective lag is
+    0: the twist is constant there, i.e. the step is untwisted.
     """
 
     phi: float
@@ -190,9 +188,8 @@ class GaussianLookaheadTwist:
             finite = math.isfinite(scale**2 + s2)
         except OverflowError:
             finite = False
-        if not finite:
-            raise ValueError(f"lookahead constants phi**lag and Var(Y_(t+lag) | K_t) "
-                             f"overflow a float at lag {lag} (phi {self.phi})")
+        if not finite:  # constants past a float: this step is untwisted
+            lag, scale, s2 = 0, 1.0, self.obs_var
         return lag, scale, s2, float(y_window[lag])
 
     def log_h(self, y_window, k) -> np.ndarray:
@@ -293,7 +290,7 @@ class DiscreteTableTwist:
         if table.ndim != 2 or table.shape[1] != self.params.n_states:
             raise ValueError("log_h_table must be (steps, n_states)")
         if not np.all(np.isfinite(table)):
-            raise DegenerateTwistError("twist table must be finite")
+            raise ValueError("twist table must be finite")
         self.log_h_table = table
         self._h = np.exp(table)
 
@@ -335,7 +332,7 @@ class DiscreteTableTwist:
         """log of the next state's h times its exact acceptance probability,
         averaged over the next-state law."""
         t = self._step(y_window)
-        mask = kernel.accept_mask(int(np.asarray(y_window)[0])).astype(float)
+        mask = kernel.weights(np.arange(self.params.emission.shape[1]), np.asarray(y_window)[0])
         accept = self.params.emission @ mask
         values = self._next_state_law(t, k) @ (accept * self._h[t])
         return np.log(np.maximum(values, np.exp(LOG_FLOOR)))

@@ -213,18 +213,24 @@ class TestFilter:
         assert code == 3
         assert capsys.readouterr().err.startswith("alivetwist: aborted:")
 
-    @pytest.mark.parametrize("algo", ["twisted-bootstrap", "alive-twisted"])
-    def test_lookahead_overflow_exits_1(self, tmp_path, lg_data, algo, capsys):
-        """phi**lag overflowing a float is a data error, not an OverflowError
-        escaping ``main`` as a traceback."""
+    @pytest.mark.parametrize("plain, twisted, abort", [
+        ("alive", "alive-twisted", "stopping-time cap exceeded at step 0"),
+        ("bootstrap", "twisted-bootstrap", "particle death at step 1"),
+    ], ids=["alive-twisted", "twisted-bootstrap"])
+    def test_lookahead_overflow_runs_untwisted(self, tmp_path, lg_data, plain, twisted, abort,
+                                               capsys):
+        """phi**lag overflowing a float leaves those steps untwisted: the
+        twisted filter then fails exactly where its plain counterpart does."""
         model = dict(LG_CONFIG["model"], phi=1e100)
-        config = _write_json(tmp_path, "steep.json",
-                             dict(LG_CONFIG, model=model, filter={"n_particles": 10, "lag": 5}))
-        assert cli.main(["filter", "--algo", algo, "--config", config,
-                         "--data", lg_data, "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("alivetwist: error: lookahead constants")
-        assert "at lag 5" in err
+        config = _write_json(tmp_path, "steep.json", dict(
+            LG_CONFIG, model=model, filter={"n_particles": 10, "lag": 5, "cap": 10000}))
+        errs = []
+        for algo in (plain, twisted):
+            assert cli.main(["filter", "--algo", algo, "--config", config,
+                             "--data", lg_data, "--out", str(tmp_path / "x.csv")]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"alivetwist: aborted: {abort}")
 
     def test_both_alive_filters_report_the_step_on_cap_errors(self, tmp_path, far_record, capsys):
         config, data = far_record

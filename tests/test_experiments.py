@@ -159,6 +159,11 @@ class TestLoadReturns:
         path = self._write(tmp_path, "2024-01-02,10.0\n\n2024-01-03,20.0\n")
         np.testing.assert_allclose(load_returns(path), [math.log(2.0)], rtol=1e-12)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a BOM; the first date is still ISO."""
+        path = self._write(tmp_path, "\ufeff2020-01-01,10.0\n2020-01-02,20.0\n")
+        np.testing.assert_allclose(load_returns(path), [math.log(2.0)], rtol=1e-12)
+
     def test_max_rows(self, tmp_path):
         lines = [f"2024-01-{2 + i:02d},{10.0 + i}" for i in range(5)]
         path = self._write(tmp_path, "\n".join(lines))
@@ -199,6 +204,11 @@ class TestLoadObservations:
     def test_picks_named_column(self, tmp_path):
         path = self._write(tmp_path, "step,observation,extra\n0,1.5,9\n1,-2.25,9\n")
         np.testing.assert_allclose(load_observations(path), [1.5, -2.25])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a BOM before the header."""
+        path = self._write(tmp_path, "\ufeffobservation\n1.5\n-2.25\n")
+        np.testing.assert_array_equal(load_observations(path), [1.5, -2.25])
 
     def test_custom_column_and_truncation(self, tmp_path):
         path = self._write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")

@@ -131,11 +131,6 @@ class TestDiscreteBallKernel:
         np.testing.assert_array_equal(kernel.weights(simulated, 1), np.array([0, 1, 1]))
         np.testing.assert_array_equal(kernel.weights(simulated, 2), np.array([1, 0, 1]))
 
-    def test_accept_mask_returns_observed_row(self):
-        acceptance = np.eye(4, dtype=bool)
-        kernel = DiscreteBallKernel(acceptance)
-        np.testing.assert_array_equal(kernel.accept_mask(3), acceptance[3])
-
     def test_identity_table_is_exact_matching(self):
         kernel = DiscreteBallKernel(np.eye(3, dtype=bool))
         simulated = np.array([0, 1, 2, 1, 0])

@@ -211,6 +211,21 @@ class TestPmmhStep:
         assert info.log_ratio == float("-inf")
         assert state.theta == 0
 
+    def test_overflowing_twist_candidate_is_rejected_not_raised(self):
+        """F**59 squared overflows a float: the twisted filter runs those steps
+        untwisted, so the chain rejects the candidate instead of aborting."""
+        config = PmmhConfig(
+            iterations=1, n_particles=20, epsilon=3.5, lag=59, cap=2000, alpha=1.95,
+            beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
+        )
+        run_filter = sv_filter_runner(synthetic_sv_record(3, 60), config, "alive-twisted")
+        before = PmmhState(SvTheta(0.5, 0.01, 0.5), 0.0, -50.0)
+        with np.errstate(over="ignore"):
+            state, info = pmmh_step(before, run_filter, lambda t: 0.0,
+                                    lambda t, s: (SvTheta(1e3, 0.01, 0.5), 0.0), stream_for(316))
+        assert not info.accepted
+        assert state is before
+
 
 class TestEarlyRejectionStep:
     def _state(self):

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from alivetwist import (
     AbcKernel,
-    DegenerateTwistError,
     DiscreteBallKernel,
     DiscreteHmmParams,
     GaussianLookaheadTwist,
@@ -101,8 +100,25 @@ class TestValidationAndTruncation:
             _twist().log_h(np.array([]), np.array([0.0]))
 
     def test_nan_state_raises_degenerate(self):
-        with pytest.raises(DegenerateTwistError):
+        with pytest.raises(ValueError, match="twist evaluated to a non-finite value"):
             _twist().log_h(_window(), np.array([0.0, np.nan]))
+
+    def test_overflowing_lookahead_step_is_untwisted(self):
+        """phi**lag past a float: every hook is the lag-0 (h = 1) twist's."""
+        steep = GaussianLookaheadTwist(phi=1e100, nu2=1.0, obs_var=1.0, lag=5)
+        flat = GaussianLookaheadTwist(phi=1e100, nu2=1.0, obs_var=1.0, lag=0)
+        window = _window()
+        kernel = AbcKernel(epsilon=0.8, mode="absolute")
+        k = np.array([0.4, -1.0, 2.0])
+        np.testing.assert_array_equal(steep.log_h(window, k), flat.log_h(window, k))
+        for states, anchor in ((k, 0.4), (None, None)):
+            np.testing.assert_array_equal(steep.log_qh(window, states), flat.log_qh(window, states))
+            np.testing.assert_array_equal(steep.log_qh_alive(window, states, kernel),
+                                          flat.log_qh_alive(window, states, kernel))
+            np.testing.assert_array_equal(
+                steep.propose_guided_states(anchor, window, stream_for(233), 5),
+                flat.propose_guided_states(anchor, window, stream_for(233), 5),
+            )
 
     def test_factories_wire_parameters(self):
         lg = lg_twist(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=0.25), lag=4)
@@ -346,7 +362,7 @@ class TestDiscreteTableTwist:
         params = self._params()
         with pytest.raises(ValueError):
             DiscreteTableTwist(np.zeros((4, 2)), params)
-        with pytest.raises(DegenerateTwistError):
+        with pytest.raises(ValueError, match="twist table must be finite"):
             DiscreteTableTwist(np.array([[0.0, np.inf, 0.0]]), params)
 
     def test_qh_is_exact_transition_average(self):
