@@ -74,6 +74,26 @@ class ScriptedStream:
         return not (self._integers or self._normals or self._uniforms or self._exponentials)
 
 
+def validate_generation(generation, target: int) -> None:
+    """Raise ValueError unless an alive pool's structural invariants hold."""
+    t = generation.stopping_time
+    _require(t >= target, "stopping time cannot be below the acceptance target")
+    _require(len(generation.states) == len(generation.weights) == t,
+             "states and weights must both have length stopping_time")
+    _require(set(np.unique(generation.weights)).issubset({0, 1}), "weights must be binary")
+    _require(int(generation.weights.sum()) == target, "acceptances must hit the target exactly")
+    _require(int(generation.weights[-1]) == 1, "the final stored particle must be accepted")
+    if generation.twisted_index is not None:
+        _require(0 <= generation.twisted_index <= t - 2,
+                 "twisted slot must sit within the first T - 1")
+
+
+def _require(condition, message: str) -> None:
+    """Raise ValueError(message) unless ``condition``."""
+    if not condition:
+        raise ValueError(message)
+
+
 def monte_carlo_z(values: np.ndarray, target: float) -> float:
     """Standardised distance of a sample mean from its target."""
     values = np.asarray(values, dtype=float)

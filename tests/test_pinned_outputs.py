@@ -45,13 +45,13 @@ def _lg_log_total(algo: str, seed: int) -> float:
 
 
 LG_PINNED = {
-    ("alive", 901): -19.251288150704575,
+    ("alive", 901): -18.740713843795636,
     ("alive", 902): -18.01001988914247,
     ("bootstrap", 901): -33.76931712764742,
     ("bootstrap", 902): -34.86823834904773,
     ("twisted-bootstrap", 901): -34.6171201833158,
     ("twisted-bootstrap", 902): -35.5419853143531,
-    ("alive-twisted", 901): -18.212326766091604,
+    ("alive-twisted", 901): -18.236977447550892,
     ("alive-twisted", 902): -18.127336083980644,
 }
 
@@ -85,16 +85,16 @@ def test_short_volatility_chain():
         beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
     )
     record = run_sv_pmmh(synthetic_sv_record(905, 30), config, "alive-twisted", 905)
-    np.testing.assert_array_equal(record.accepted, [1, 0, 1, 0, 1, 0, 1])
+    np.testing.assert_array_equal(record.accepted, [1, 1, 0, 0, 0, 1, 0])
     np.testing.assert_allclose(
         record.log_zhats,
-        [-40.13040856980326, -40.13040856980326, -28.4026112892346, -28.4026112892346,
-         -22.39937682516564, -22.39937682516564, -19.83796299677274],
+        [-40.13154680540832, -28.94559921093756, -28.94559921093756, -28.94559921093756,
+         -28.94559921093756, -15.349618995142125, -15.349618995142125],
         rtol=0, atol=1e-12,
     )
     np.testing.assert_allclose(
         record.theta_field("F"),
-        [0.3863627050542504, 0.3863627050542504, -0.5733129808394453, -0.5733129808394453,
-         0.20218582783871641, 0.20218582783871641, -0.7820287321272836],
+        [0.3863627050542504, 0.0015108395858632884, 0.0015108395858632884, 0.0015108395858632884,
+         0.0015108395858632884, 0.16391997417167226, 0.16391997417167226],
         rtol=0, atol=1e-12,
     )

@@ -1,8 +1,6 @@
 """Accept/reject filtering core: stopping times, pools, and estimates."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from alivetwist import (
     LinearGaussianParams,
     NormConstEstimate,
     ParticleDeathError,
-    ParticleGeneration,
     StoppingTimeCapError,
     alive_filter,
     alive_twisted_filter,
@@ -27,9 +24,9 @@ from alivetwist import (
     simulate,
 )
 from alivetwist.models import HmmModel
-from alivetwist.smc import _MAX_BATCH
+from alivetwist.smc import _MAX_BATCH, _SPECULATION
 
-from helpers import lg_abc_grid_log_marginal, monte_carlo_z, src_env, stream_for
+from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for, validate_generation
 
 
 class BinaryKernel:
@@ -69,19 +66,6 @@ class TestErrors:
     def test_particle_death_carries_step(self):
         err = ParticleDeathError(step=7)
         assert err.step == 7 and "step 7" in str(err)
-
-    def test_generation_validation_survives_optimisation(self):
-        """validate raises ValueError on a broken pool even under python -O,
-        which strips assert statements."""
-        script = (
-            "import numpy as np; from alivetwist import ParticleGeneration\n"
-            "pool = ParticleGeneration(np.zeros(3), np.array([0, 2, 1]), 3)\n"
-            "try:\n    pool.validate(3)\nexcept ValueError as err:\n    print(err)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=src_env(), capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "weights must be binary"
 
 
 class TestNormConstEstimate:
@@ -124,6 +108,22 @@ class TestBatchSchedule:
         assert (first, second) == (59, 30)
         assert sizes == [40, first, second]
 
+    def test_first_batch_speculates_at_most_past_target(self):
+        """Before any acceptance the step is known to need ``target`` proposals;
+        the first batch goes at most ``_SPECULATION`` past that."""
+        assert self._sizes(np.ones(2000), 10, 10_000, batch_hint=1000) == [10 + _SPECULATION]
+        assert self._sizes(np.ones(2000), 1000, 10_000) == [1000 + _SPECULATION]
+
+    def test_top_up_speculates_at_most_past_the_need(self):
+        """A top-up is ceil(need) + _SPECULATION once 20% of the need exceeds _SPECULATION."""
+        pattern = np.zeros(20_000, dtype=int)
+        pattern[9:1000:10] = 1  # 100 acceptances in the first 1000
+        pattern[1000:] = 1
+        sizes = self._sizes(pattern, target=1000, cap=20_000, batch_hint=1000)
+        need = (1000 - 100) * 1000 / 100
+        assert math.ceil(1.2 * need) > math.ceil(need) + _SPECULATION
+        assert sizes == [1000, math.ceil(need) + _SPECULATION]
+
     def test_top_up_clipped_to_remaining_cap(self):
         pattern = np.zeros(100, dtype=int)
         pattern[0] = 1  # rate 1/10 asks for 108 more, but only 20 remain
@@ -134,8 +134,11 @@ class TestBatchSchedule:
         assert info.value.drawn == 30 and info.value.accepted == 1
 
     def test_sizes_never_exceed_max_batch(self):
+        """Doubling with no acceptance stops growing at _MAX_BATCH and the
+        batches still spend the whole cap."""
         sizes = self._sizes([], 10, 3 * _MAX_BATCH, batch_hint=_MAX_BATCH // 2)
-        assert sizes == [_MAX_BATCH // 2, _MAX_BATCH, _MAX_BATCH, _MAX_BATCH // 2]
+        assert max(sizes) == _MAX_BATCH
+        assert sum(sizes) == 3 * _MAX_BATCH
 
 
 class TestSampleUntilAlive:
@@ -156,20 +159,23 @@ class TestSampleUntilAlive:
         assert pool["weights"][-1] == 1
 
     def test_result_independent_of_batching(self):
-        """A proposer that reads no stream gives the same pool under any schedule."""
-        pattern = (np.arange(400) % 7 == 3).astype(int)
-        reference = None
-        for hint in (None, 2, 3, 64, 399):
-            pool, stop = sample_until_alive(
-                scripted_proposer(pattern), BinaryKernel(), 0, 20, 1000, stream_for(0),
-                batch_hint=hint,
-            )
-            if reference is None:
-                reference = (pool, stop)
-            else:
-                assert stop == reference[1]
-                for name in ("pseudo_obs", "weights", "tag"):
-                    np.testing.assert_array_equal(pool[name], reference[0][name])
+        """A proposer that reads no stream gives the same pool under any
+        schedule, including hints above target + _SPECULATION and (period 50)
+        top-ups capped at the need plus _SPECULATION."""
+        for period, target in ((7, 20), (50, 40)):
+            pattern = (np.arange(100 * period) % period == 3).astype(int)
+            reference = None
+            for hint in (None, 2, 3, 64, 399, 5000):
+                pool, stop = sample_until_alive(
+                    scripted_proposer(pattern), BinaryKernel(), 0, target, 10_000, stream_for(0),
+                    batch_hint=hint,
+                )
+                if reference is None:
+                    reference = (pool, stop)
+                else:
+                    assert stop == reference[1]
+                    for name in ("pseudo_obs", "weights", "tag"):
+                        np.testing.assert_array_equal(pool[name], reference[0][name])
 
     def test_cap_exhaustion_raises_with_counts(self):
         with pytest.raises(StoppingTimeCapError) as info:
@@ -242,6 +248,13 @@ class TestSampleUntilAlive:
         stops = self._stops(rate, target, 10_000, seed, batch_hint=target)
         self._assert_negative_binomial(stops, target, rate)
 
+    def test_stopping_time_law_when_the_first_batch_is_capped(self):
+        """At target 400 and rate 0.3 the first batch is capped at
+        target + _SPECULATION, well short of the ~1333 a step needs, so every
+        step tops up; the law of T must not move."""
+        rate, target = 0.3, 400
+        self._assert_negative_binomial(self._stops(rate, target, 10_000, 222), target, rate)
+
 
 class TestAliveFilter:
     def _lg(self):
@@ -274,7 +287,7 @@ class TestAliveFilter:
         _, observations = simulate(model, 30, stream_for(213))
         generations, estimate = alive_filter(model, kernel, observations, 15, stream=stream_for(214))
         for generation in generations:
-            generation.validate(15)
+            validate_generation(generation, 15)
         assert estimate.log_total == pytest.approx(sum(estimate.log_factors), abs=1e-12)
         assert math.isclose(
             estimate.log_factors[3],

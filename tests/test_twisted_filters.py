@@ -40,6 +40,7 @@ from helpers import (
     lg_abc_grid_log_marginal,
     monte_carlo_z,
     stream_for,
+    validate_generation,
 )
 
 PARAMS = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
@@ -241,7 +242,7 @@ class TestAliveTwisted:
         )
         prev_accepted = None
         for t, generation in enumerate(generations):
-            generation.validate(n)
+            validate_generation(generation, n)
             window = observations[t:]
             edge = generation.stopping_time - 1
             accepted = generation.states[generation.weights[:edge].nonzero()[0]]
@@ -359,7 +360,7 @@ class TestAliveTwisted:
         )
         assert math.isfinite(estimate.log_total)
         for generation in generations:
-            generation.validate(20)
+            validate_generation(generation, 20)
         _, again = alive_twisted_filter(
             model, kernel, sv_twist(params, 5), observations, 20, stream=stream_for(283)
         )
