@@ -153,18 +153,14 @@ def _cmd_filter(args) -> int:
 
     header = ["step", "stopping_time", "log_factor", "cumulative_log_z"]
     if twisted:
-        header += ["twisted_index", "qh_sum", "wh_sum"]
+        header += ["qh_sum", "wh_sum"]
     rows = []
     cumulative = np.cumsum(estimate.log_factors)
     for t, generation in enumerate(generations):
         stopping_time = getattr(generation, "stopping_time", run.n_particles)
         row = [t + 1, stopping_time, estimate.log_factors[t], float(cumulative[t])]
         if twisted:
-            row += [
-                generation.twisted_index + 1,
-                float(np.exp(generation.log_qh_sum)),
-                float(np.exp(generation.log_wh_sum)),
-            ]
+            row += [float(np.exp(generation.log_qh_sum)), float(np.exp(generation.log_wh_sum))]
         rows.append(row)
     _write_csv(args.out, header, rows)
     return 0

@@ -182,7 +182,8 @@ def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
 
 def load_observations(path: str, column: str = "observation",
                       max_rows: Optional[int] = None) -> np.ndarray:
-    """A named numeric column from a headed CSV file."""
+    """A named numeric column from a headed CSV file, cut to its first
+    ``max_rows`` values when that positive count is given."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -206,6 +207,8 @@ def load_observations(path: str, column: str = "observation",
         raise ValueError(f"{path}: no data rows")
     observations = np.asarray(values, dtype=float)
     if max_rows is not None:
+        if max_rows < 1:
+            raise ValueError(f"max_rows must be positive, got {max_rows}")
         observations = observations[:max_rows]
     return observations
 

@@ -99,26 +99,25 @@ class ParticleGeneration:
     """One step's pool from an accept/reject filter.
 
     states and weights both have length ``stopping_time``; weights are
-    binary with the final entry 1.  twisted_index marks the slot occupied by
-    the guided particle when a twisted variant produced this generation, and
-    the two log sums record that step's guidance diagnostics.
+    binary with the final entry 1.  When a twisted variant produced this
+    generation, its guided particle is the first entry and the two log sums
+    record that step's guidance diagnostics.
     """
 
     states: np.ndarray
     weights: np.ndarray
     stopping_time: int
-    twisted_index: Optional[int] = None
     log_qh_sum: Optional[float] = None
     log_wh_sum: Optional[float] = None
 
 
 @dataclass(slots=True)
 class BootstrapGeneration:
-    """One step's pool from a density-weighted filter."""
+    """One step's pool from a density-weighted filter (a twisted one puts
+    its guided particle first)."""
 
     states: np.ndarray
     log_weights: np.ndarray
-    twisted_index: Optional[int] = None
     log_qh_sum: Optional[float] = None
     log_wh_sum: Optional[float] = None
 

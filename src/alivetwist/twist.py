@@ -5,8 +5,10 @@ promising a state is for the upcoming observations.  Each filter step gets
 one guided slot: its ancestor is chosen proportional to weight times
 qh(ancestor) — where qh(k) = E[h(K_next) | K_now = k] integrates h through
 one transition — and its new state is drawn from the transition density
-reweighted by h.  All other slots behave exactly as in the untwisted filter,
-and a uniformly placed index records where the guided particle sits.
+reweighted by h.  All other slots behave exactly as in the untwisted filter.
+The guided particle comes first in its pool: every reader of a pool (uniform
+ancestor picks, the qh-weighted anchor, resampling by weight, the factor's
+sums) is symmetric in particle order, so where it sits changes no law.
 
 Any object with these four hooks works as a twist (log domain throughout):
 
@@ -55,8 +57,8 @@ transition *conditioned on acceptance* by rejection: the first
 ``propose_guided_states`` candidate whose simulated observation the kernel
 accepts, so the guided particle lands inside the kernel's ball.  Each alive
 step reads its stream in this order: the guided anchor, the plain pool (one
-``sample_until_alive`` call), the guided candidates (a second call, on the
-proposals the pool left of the cap), then the guided slot.
+``sample_until_alive`` call), then the guided candidates (a second call, on
+the proposals the pool left of the cap).
 
 The alive step factor is then [sum of qh-with-acceptance over the previous
 pool's accepted particles] / [sum of h over the current pool's accepted
@@ -98,15 +100,6 @@ def _clamped_log(values) -> np.ndarray:
     if not np.all(values < np.inf):  # NaN or +inf; -inf floors below
         raise ValueError("twist evaluated to a non-finite value")
     return np.maximum(values, LOG_FLOOR)
-
-
-def _insert_scalar(arr: np.ndarray, slot: int, value) -> np.ndarray:
-    """``np.insert`` for one scalar into a 1-d array, minus its generality cost."""
-    out = np.empty(arr.size + 1, dtype=arr.dtype)
-    out[:slot] = arr[:slot]
-    out[slot] = value
-    out[slot + 1 :] = arr[slot:]
-    return out
 
 
 def ndtr(x):
@@ -379,10 +372,10 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
                              stream: Optional[np.random.Generator] = None):
     """Bootstrap filter with one lookahead-guided slot per step.
 
-    Per step, in stream order: the guided slot index is drawn uniformly, the
-    guided ancestor proportional to weight times qh, the guided state from
-    the h-reweighted transition, then all other slots exactly as in the
-    bootstrap filter.  The step factor is the pool's mean observation
+    Per step, in stream order: the guided ancestor is drawn proportional to
+    weight times qh, the guided state from the h-reweighted transition, then
+    all other slots exactly as in the bootstrap filter; the guided state is
+    the pool's first particle.  The step factor is the pool's mean observation
     likelihood times (previous weighted mean of qh) / (current mean of h).
     The first step has no previous pool: the twist is asked with ancestor
     None, so the guided state and the qh mean come from the initial draw
@@ -404,7 +397,6 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     for t in range(observations.size):
         y = observations[t]
         y_window = observations[t:]
-        slot = int(stream.integers(n_particles))
         if prev is None:
             guided = twist.propose_guided_states(None, y_window, stream, 1)
             log_qh_sum = float(twist.log_qh(y_window, None))
@@ -423,7 +415,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             others = model.transition_sampler(prev.states[other_ancestors], stream)
             # the previous pool's log-weight total is exactly last step's factor input
             log_qh_sum = log_scores_sum - prev_total
-        states = _insert_scalar(others, slot, guided[0])
+        states = np.concatenate((guided, others))
         log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
         total = _logsumexp1d(log_weights)
         if not np.isfinite(total):
@@ -433,7 +425,6 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
         generation = BootstrapGeneration(
             states=states,
             log_weights=log_weights,
-            twisted_index=slot,
             log_qh_sum=log_qh_sum,
             log_wh_sum=log_wh_sum,
         )
@@ -463,9 +454,10 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     through one sample_until_alive call; the guided (state,
     pseudo-observation) pair is the first accepted ``propose_guided_states``
     candidate of a second call, so it comes from the h-reweighted transition
-    *conditioned on acceptance* and the guided slot is always alive; last,
-    the guided particle is placed at a uniformly drawn slot among the first
-    T - 1.
+    *conditioned on acceptance* and the guided slot is always alive.  The
+    pool is the guided particle followed by the plain proposals, so the
+    guided particle sits within the first T - 1 and the plain pool's own
+    last acceptance is the one left out.
 
     Plain proposals up to the stopping position plus guided candidates up to
     the accepted one never exceed the cap: the guided call gets what the pool
@@ -529,9 +521,8 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             accepted = n_particles - 1 if rest else err.accepted
             raise StoppingTimeCapError(t, rest + err.drawn, accepted, n_particles, cap) from None
         stopping_time = rest + 1
-        slot = int(stream.integers(0, stopping_time - 1))
-        states = _insert_scalar(pool["states"], slot, guided["states"][-1])
-        weights = _insert_scalar(pool["weights"], slot, 1)
+        states = np.concatenate((guided["states"][-1:], pool["states"]))
+        weights = np.concatenate((guided["weights"][-1:], pool["weights"]))
 
         accepted_states = states[weights[: stopping_time - 1].nonzero()[0]]
         log_denominator = _logsumexp1d(twist.log_h(y_window, accepted_states))
@@ -539,7 +530,6 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
             states=states,
             weights=weights,
             stopping_time=stopping_time,
-            twisted_index=slot,
             log_qh_sum=log_numerator,
             log_wh_sum=log_denominator,
         )

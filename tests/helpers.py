@@ -83,9 +83,6 @@ def validate_generation(generation, target: int) -> None:
     _require(set(np.unique(generation.weights)).issubset({0, 1}), "weights must be binary")
     _require(int(generation.weights.sum()) == target, "acceptances must hit the target exactly")
     _require(int(generation.weights[-1]) == 1, "the final stored particle must be accepted")
-    if generation.twisted_index is not None:
-        _require(0 <= generation.twisted_index <= t - 2,
-                 "twisted slot must sit within the first T - 1")
 
 
 def _require(condition, message: str) -> None:

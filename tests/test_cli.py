@@ -143,7 +143,7 @@ class TestFilter:
         twisted = algo in ("twisted-bootstrap", "alive-twisted")
         want = ["step", "stopping_time", "log_factor", "cumulative_log_z"]
         if twisted:
-            want += ["twisted_index", "qh_sum", "wh_sum"]
+            want += ["qh_sum", "wh_sum"]
         assert header == want
         assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
         factors = np.array([float(r[2]) for r in rows])
@@ -155,10 +155,8 @@ class TestFilter:
         else:
             assert (stopping == LG_CONFIG["filter"]["n_particles"]).all()
         if twisted:
-            slots = np.array([int(r[4]) for r in rows])
-            assert (slots >= 1).all()
-            qh = np.array([float(r[5]) for r in rows])
-            wh = np.array([float(r[6]) for r in rows])
+            qh = np.array([float(r[4]) for r in rows])
+            wh = np.array([float(r[5]) for r in rows])
             assert (qh > 0).all() and (wh > 0).all()
             if algo == "alive-twisted":
                 # this filter's factor is exactly the guidance-sum ratio; the

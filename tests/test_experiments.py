@@ -214,6 +214,14 @@ class TestLoadObservations:
         path = self._write(tmp_path, "a,b\n1,2\n3,4\n5,6\n")
         np.testing.assert_allclose(load_observations(path, column="b", max_rows=2), [2.0, 4.0])
 
+    @pytest.mark.parametrize("max_rows", [0, -1])
+    def test_max_rows_below_one_is_refused(self, tmp_path, max_rows):
+        """As in load_returns: a slice would return nothing at 0 and drop the
+        last row at -1, silently."""
+        path = self._write(tmp_path, "observation\n1.0\n2.0\n3.0\n")
+        with pytest.raises(ValueError, match=f"^max_rows must be positive, got {max_rows}$"):
+            load_observations(path, max_rows=max_rows)
+
     @pytest.mark.parametrize(
         "text",
         [

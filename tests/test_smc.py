@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from alivetwist import (
+    DEFAULT_TRIAL_CAP,
     AbcKernel,
     EarlyRejection,
     LinearGaussianParams,
@@ -23,6 +24,7 @@ from alivetwist import (
     sample_until_alive,
     simulate,
 )
+from alivetwist.configs import FILTERS
 from alivetwist.models import HmmModel
 from alivetwist.smc import _MAX_BATCH, _SPECULATION
 
@@ -66,6 +68,21 @@ class TestErrors:
     def test_particle_death_carries_step(self):
         err = ParticleDeathError(step=7)
         assert err.step == 7 and "step 7" in str(err)
+
+    @pytest.mark.parametrize("algo, n_particles, refused", [
+        ("alive", 1, "need at least 2 particles"),
+        ("alive-twisted", 1, "need at least 2 particles"),
+        ("bootstrap", 0, "need at least 1 particle"),
+        ("twisted-bootstrap", 1, "need at least 2 particles"),
+    ])
+    def test_filters_refuse_a_missing_stream_or_too_few_particles(self, algo, n_particles, refused):
+        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+        inputs = (lg_model(params), AbcKernel(epsilon=1.0, mode="absolute"), lg_twist(params, 2), [0.0])
+        run = FILTERS[algo].run
+        with pytest.raises(ValueError, match="^an explicit random stream is required$"):
+            run(*inputs, 10, DEFAULT_TRIAL_CAP, None)
+        with pytest.raises(ValueError, match=f"^{refused}, got {n_particles}$"):
+            run(*inputs, n_particles, DEFAULT_TRIAL_CAP, stream_for(0))
 
 
 class TestNormConstEstimate:

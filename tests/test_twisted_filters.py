@@ -107,22 +107,21 @@ class TestTwistedBootstrap:
         """Two particles, one step, every random draw scripted by hand.
 
         The guided state is one draw from the initial draw plus one
-        transition, N(0, (1 + phi^2) nu2), untwisted at lag 0; the other slot
-        takes an initial draw and then a transition."""
+        transition, N(0, (1 + phi^2) nu2), untwisted at lag 0, and comes
+        first; the other slot takes an initial draw and then a transition."""
         model = lg_model(PARAMS)
         twist = lg_twist(PARAMS, 0)  # constant twist: guided slot is untwisted
         y = 0.5
         a, b, c = 0.3, -0.7, 1.1
-        stream = ScriptedStream(integers=[1], normals=[a, b, c])
+        stream = ScriptedStream(normals=[a, b, c])
         generations, estimate = twisted_bootstrap_filter(model, twist, [y], 2, stream=stream)
         assert stream.exhausted()
         sd = math.sqrt(PARAMS.nu2)
         guided = math.sqrt((1.0 + PARAMS.phi**2) * PARAMS.nu2) * a
         other = PARAMS.phi * sd * b + sd * c
         generation = generations[0]
-        assert generation.twisted_index == 1
-        np.testing.assert_allclose(generation.states, [other, guided], rtol=1e-15)
-        want = float(logsumexp(norm_logpdf(y, np.array([other, guided]), PARAMS.tau2))) - math.log(2)
+        np.testing.assert_allclose(generation.states, [guided, other], rtol=1e-15)
+        want = float(logsumexp(norm_logpdf(y, np.array([guided, other]), PARAMS.tau2))) - math.log(2)
         assert estimate.log_total == pytest.approx(want, abs=1e-12)
         assert generation.log_qh_sum == 0.0
         assert generation.log_wh_sum == 0.0
@@ -134,28 +133,16 @@ class TestTwistedBootstrap:
             model, lg_twist(PARAMS, 0), observations, 30, stream=stream_for(261)
         )
         for generation in generations:
-            assert generation.log_qh_sum == 0.0
+            # log_qh_sum is a cumsum-based log-sum (rng.log_categorical) minus
+            # a pairwise one (smc._logsumexp1d) of the same weights, so it is
+            # zero only up to the last bits of the two sums
+            assert generation.log_qh_sum == pytest.approx(0.0, abs=1e-15)
             assert generation.log_wh_sum == 0.0
-        # with the diagnostics identically zero, each factor is the pool's
+        # with the diagnostics zero, each factor is the pool's
         # plain mean likelihood, exactly the untwisted bootstrap's factor form
         for generation, factor in zip(generations, estimate.log_factors):
             want = float(logsumexp(generation.log_weights)) - math.log(30)
             assert factor == pytest.approx(want, abs=1e-12)
-
-    def test_guided_slot_is_uniform(self):
-        model = lg_model(PARAMS)
-        _, observations = simulate(model, 2, stream_for(262))
-        n = 8
-        slots = []
-        for rep in range(4000):
-            generations, _ = twisted_bootstrap_filter(
-                model, lg_twist(PARAMS, 3), observations, n, stream=stream_for(263, rep)
-            )
-            slots.extend(g.twisted_index for g in generations)
-        counts = np.bincount(np.array(slots), minlength=n)
-        expected = len(slots) / n
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < stats.chi2(n - 1).ppf(0.999)
 
     def test_unbiased_against_kalman(self):
         model = lg_model(PARAMS)
@@ -200,12 +187,12 @@ class TestAliveTwisted:
         each an initial draw, a transition and an observation), then the
         guided candidates (one state from the initial draw plus one
         transition, N(0, (1 + phi^2) nu2), untwisted at lag 0, and its
-        observation), then the slot.  The pool stops at its first proposal,
-        leaving one proposal of the cap for the guided pair."""
+        observation).  The pool stops at its first proposal, leaving one
+        proposal of the cap for the guided pair, which comes first."""
         model = lg_model(PARAMS)
         kernel = AbcKernel(epsilon=1e12, mode="absolute")
         normals = [0.3, -0.7, 1.1, 0.4, -0.2, 0.9, -1.3, 0.6]
-        stream = ScriptedStream(integers=[0], normals=normals)
+        stream = ScriptedStream(normals=normals)
         generations, estimate = alive_twisted_filter(
             model, kernel, lg_twist(PARAMS, 0), [0.5], 2, cap=2, stream=stream
         )
@@ -214,7 +201,7 @@ class TestAliveTwisted:
         plain = PARAMS.phi * sd * normals[0] + sd * normals[2]
         guided = math.sqrt((1.0 + PARAMS.phi**2) * PARAMS.nu2) * normals[6]
         generation = generations[0]
-        assert (generation.stopping_time, generation.twisted_index) == (2, 0)
+        assert generation.stopping_time == 2
         np.testing.assert_allclose(generation.states, [guided, plain], rtol=1e-15)
         np.testing.assert_array_equal(generation.weights, [1, 1])
         assert estimate.log_total == 0.0
@@ -275,7 +262,7 @@ class TestAliveTwisted:
         assert est_a.log_total == est_b.log_total
         for a, b in zip(gen_a, gen_b):
             np.testing.assert_array_equal(a.states, b.states)
-            assert a.twisted_index == b.twisted_index
+            np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_unbiased_against_grid_oracle(self):
         model = lg_model(PARAMS)
