@@ -61,21 +61,13 @@ def gaussian(stream: np.random.Generator, mean: float, variance: float) -> float
     return float(mean + np.sqrt(variance) * stream.standard_normal())
 
 
-def _check_weights(weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("invalid categorical weights: need a nonempty 1-d array")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("invalid categorical weights: entries must be finite and nonnegative")
-    if weights.sum() <= 0:
-        raise ValueError("invalid categorical weights: total mass is zero")
-    return weights
-
-
 def log_categorical(stream: np.random.Generator, log_weights: np.ndarray):
     """(index, log of the summed weights) for one draw proportional to
-    exp(log_weights); one shifted-exp pass serves both."""
+    exp(log_weights); one shifted-exp pass serves both.  Raises ValueError
+    unless the largest log weight is finite (no NaN, no +inf, not all -inf)."""
     shift = float(log_weights.max())
+    if not math.isfinite(shift):
+        raise ValueError(f"invalid categorical weights: largest log weight {shift}")
     cdf = np.cumsum(np.exp(log_weights - shift))
     pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
     return min(pick, cdf.size - 1), shift + math.log(float(cdf[-1]))
@@ -87,12 +79,21 @@ def categorical_many(stream: np.random.Generator, weights, size: int) -> np.ndar
     The uniforms are searched in sorted order, which walks the cdf once (about
     twice as fast at 2000 weights), then scattered back to draw order, so the
     indices equal those of an unsorted search of the same uniforms.
+    Raises ValueError unless ``weights`` is a nonempty 1-d array of
+    nonnegative entries with a positive, finite total; the total is the
+    cdf's last entry, so NaN, +inf and a sum that overflows all fail it.
     """
-    weights = _check_weights(weights)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("invalid categorical weights: need a nonempty 1-d array")
     if size < 0:
         raise ValueError(f"size must be nonnegative, got {size}")
     cdf = np.cumsum(weights)
-    u = stream.random(size) * cdf[-1]
+    total = cdf[-1]
+    if not (0 < total < math.inf and weights.min() >= 0):
+        raise ValueError("invalid categorical weights: need nonnegative entries "
+                         f"with a positive finite total, got total {total}")
+    u = stream.random(size) * total
     order = np.argsort(u)
     idx = np.empty(size, dtype=np.int64)
     idx[order] = np.searchsorted(cdf, u[order], side="right")

@@ -143,6 +143,18 @@ def _logsumexp1d(values: np.ndarray) -> float:
     return shift + math.log(float(np.exp(values - shift).sum()))
 
 
+def _pool_weights(log_weights: np.ndarray, step: int):
+    """(exp(log_weights - max), log-sum-exp) of one bootstrap pool from one exp
+    pass: the next step's resampling weights and this step's factor input.
+    Raises ParticleDeathError(step) unless the largest log weight is finite:
+    every weight zero, a NaN or a +inf."""
+    shift = float(log_weights.max())
+    if not math.isfinite(shift):
+        raise ParticleDeathError(step)
+    probs = np.exp(log_weights - shift)
+    return probs, shift + math.log(float(probs.sum()))
+
+
 def checked_observations(observations, dtype=None) -> np.ndarray:
     """The record as an array; raises ValueError if it is empty or not all finite."""
     observations = np.asarray(observations, dtype=dtype)
@@ -340,13 +352,10 @@ def bootstrap_filter(model, observations, n_particles: int,
         if prev is None:
             k = model.transition_sampler(model.init_state_sampler(stream, n_particles), stream)
         else:
-            probs = np.exp(prev.log_weights - prev.log_weights.max())
             ancestors = categorical_many(stream, probs, n_particles)
             k = model.transition_sampler(prev.states[ancestors], stream)
         log_weights = np.asarray(model.log_observation_density(y, k), dtype=float)
-        total = _logsumexp1d(log_weights)
-        if not np.isfinite(total):
-            raise ParticleDeathError(t)
+        probs, total = _pool_weights(log_weights, t)
         generation = BootstrapGeneration(states=k, log_weights=log_weights)
         generations.append(generation)
         log_factors.append(total - np.log(n_particles))

@@ -26,12 +26,15 @@ The first step is one more transition, out of a fictitious time-0 state
 ``log_qh_alive`` or ``propose_guided_states`` means the next state is the
 initial draw plus one transition, and the masses come back 0-d.
 
-``GaussianLookaheadTwist`` derives every hook from one conjugate tilt of its
-Gaussian next-state law by the Gaussian h: ``log_qh`` is the normaliser and
-``_tilt`` the tilted moments; the alive acceptance mass enters at one line of
-``log_qh_alive``.  A step is untwisted (h = 1) at the record's last step and
-wherever the lookahead constants overflow, which any positive h allows; the
-only error a twist raises is ``ValueError``.
+``GaussianLookaheadTwist`` tilts its Gaussian next-state law by the Gaussian
+h: qh is the tilt's normaliser, ``propose_guided_states`` samples the tilted
+law, and the alive acceptance mass enters at one line of ``log_qh_alive``, at
+the tilted moments.  Every constant these need depends only on the step's
+effective lag, so the twist keeps one row of them per lag and each hook is a
+row lookup plus in-place arithmetic over the states.  A step is untwisted
+(h = 1) at the record's last step and wherever the lookahead constants
+overflow, which any positive h allows; the only error a twist raises is
+``ValueError``.
 
 The evaluation hooks must be mutually consistent (qh really is the
 transition integral of h); that consistency is what keeps the reweighted
@@ -73,20 +76,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .models import DiscreteHmmParams, norm_logpdf
+from .models import _LOG_TWO_PI, DiscreteHmmParams
 from .rng import categorical_many, log_categorical
 from .smc import (
     DEFAULT_TRIAL_CAP,
     BootstrapGeneration,
     NormConstEstimate,
-    ParticleDeathError,
     ParticleGeneration,
     StoppingTimeCapError,
     _logsumexp1d,
+    _pool_weights,
     alive_proposer,
     checked_observations,
     sample_until_alive,
@@ -95,11 +98,27 @@ from .smc import (
 LOG_FLOOR = float(np.log(1e-300))
 
 
-def _clamped_log(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(values < np.inf):  # NaN or +inf; -inf floors below
+def _checked(values: np.ndarray) -> np.ndarray:
+    """``values`` floored at LOG_FLOOR in place; ValueError if any is NaN or +inf."""
+    if values.size and not values.max() < math.inf:  # a NaN max fails too; -inf floors below
         raise ValueError("twist evaluated to a non-finite value")
-    return np.maximum(values, LOG_FLOOR)
+    return np.maximum(values, LOG_FLOOR, out=values)
+
+
+def _scaled(k, factor: float) -> np.ndarray:
+    """factor * k as a fresh float array (0-d for a scalar k) for in-place passes."""
+    return np.multiply(k, factor, out=np.empty(np.shape(k)))
+
+
+def _log_density(target: float, mean: np.ndarray, var: float, log_norm: float) -> np.ndarray:
+    """``models.norm_logpdf(target, mean, var)`` in place over ``mean``, in its
+    operation order; ``log_norm`` is log(2 pi) + log(var)."""
+    np.subtract(target, mean, out=mean)
+    np.square(mean, out=mean)
+    mean /= var
+    mean += log_norm
+    mean *= -0.5
+    return mean
 
 
 def ndtr(x):
@@ -142,6 +161,28 @@ def ar1_lookahead_variance(phi: float, nu2: float, lag: int) -> float:
     return nu2 * (1.0 - r**lag) / (1.0 - r)
 
 
+class _Law(NamedTuple):
+    """One next-state law N(mean, var) at one effective lag: the constants of
+    qh and of the law tilted by h (at lag 0, h = 1: qh = 1 and no tilt)."""
+
+    qh_var: float  # Var(Y_(t+lag)) under the law: s2 + phi**(2 lag) * var (NaN at lag 0)
+    qh_norm: float  # log(2 pi) + log(qh_var)
+    tilt_coef: float  # tilted mean = tilt_coef * mean + tilt_gain * target / s2
+    tilt_gain: float
+    tilt_sd: float  # sd of the tilted law
+    mass_var: float  # its variance + obs_var: the variance of one simulated observation
+
+
+class _Lookahead(NamedTuple):
+    """The constants of one effective lag."""
+
+    lag: int
+    scale: float  # phi**lag
+    s2: float  # Var(Y_(t+lag) | K_t)
+    h_norm: float  # log(2 pi) + log(s2)
+    laws: tuple  # (_Law of one transition out of k, _Law of the initial draw plus one)
+
+
 @dataclass(frozen=True)
 class GaussianLookaheadTwist:
     """Twist by the Gaussian predictive density of an observation ``lag`` ahead.
@@ -153,6 +194,11 @@ class GaussianLookaheadTwist:
     lag shrinks to the remaining horizon.  At the final step, and wherever
     phi**lag or Var(Y_(t+lag) | K_t) overflows a float, the effective lag is
     0: the twist is constant there, i.e. the step is untwisted.
+
+    Every constant a hook needs depends only on the effective lag, so they
+    sit in one ``_Lookahead`` row per lag, built on first use up to the
+    longest lag a record reaches (an overflowing lag gets the lag-0 row).  A
+    hook looks its row up, then works over the states in place.
     """
 
     phi: float
@@ -169,12 +215,11 @@ class GaussianLookaheadTwist:
             raise ValueError(f"obs_var must be positive and finite, got {self.obs_var}")
         if self.lag < 0:
             raise ValueError(f"lag must be nonnegative, got {self.lag}")
+        object.__setattr__(self, "_rows", [])
 
-    def _window(self, y_window):
-        """(effective lag, phi**lag, predictive variance, target observation)."""
-        lag = min(self.lag, len(y_window) - 1)
-        if lag < 0:
-            raise ValueError("empty observation window")
+    def _lookahead(self, lag: int) -> _Lookahead:
+        """The row of effective lag ``lag``: the lag-0 row where phi**lag or
+        Var(Y_(t+lag) | K_t) overflows a float."""
         try:
             scale = self.phi**lag
             s2 = self.obs_var + ar1_lookahead_variance(self.phi, self.nu2, lag)
@@ -182,60 +227,75 @@ class GaussianLookaheadTwist:
         except OverflowError:
             finite = False
         if not finite:  # constants past a float: this step is untwisted
-            lag, scale, s2 = 0, 1.0, self.obs_var
-        return lag, scale, s2, float(y_window[lag])
+            return self._rows[0]
+        laws = []
+        for var in (self.nu2, (1.0 + self.phi**2) * self.nu2):
+            if lag == 0:  # h = 1: qh = 1 and the law is untilted
+                qh_var, post_var, gain = math.nan, var, 0.0
+            else:
+                qh_var = s2 + scale**2 * var
+                post_var = 1.0 / (1.0 / var + scale**2 / s2)
+                gain = post_var * scale
+            laws.append(_Law(qh_var, _LOG_TWO_PI + math.log(qh_var), post_var / var, gain,
+                             math.sqrt(post_var), post_var + self.obs_var))
+        return _Lookahead(lag, scale, s2, _LOG_TWO_PI + math.log(s2), tuple(laws))
+
+    def _window(self, y_window):
+        """(the row of this step's effective lag, its target observation)."""
+        lag = min(self.lag, len(y_window) - 1)
+        if lag < 0:
+            raise ValueError("empty observation window")
+        rows = self._rows
+        while len(rows) <= lag:
+            rows.append(self._lookahead(len(rows)))
+        row = rows[lag]
+        return row, float(y_window[row.lag])
 
     def log_h(self, y_window, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        lag, scale, s2, target = self._window(y_window)
-        if lag == 0:
-            return np.zeros(k.shape)
-        return _clamped_log(norm_logpdf(target, scale * k, s2))
-
-    def _next_state_law(self, k):
-        """Mean and variance of the next state: one transition out of ``k``, or
-        the initial draw plus one transition when ``k`` is None."""
-        if k is None:
-            return np.zeros(()), (1.0 + self.phi**2) * self.nu2
-        return self.phi * np.asarray(k, dtype=float), self.nu2
+        row, target = self._window(y_window)
+        if row.lag == 0:
+            return np.zeros(np.shape(k))
+        return _checked(_log_density(target, _scaled(k, row.scale), row.s2, row.h_norm))
 
     def log_qh(self, y_window, k) -> np.ndarray:
-        mean, var = self._next_state_law(k)
-        lag, scale, s2, target = self._window(y_window)
-        if lag == 0:
-            return np.zeros(mean.shape)
-        return _clamped_log(norm_logpdf(target, scale * mean, s2 + scale**2 * var))
-
-    def _tilt(self, y_window, k):
-        """Mean array and shared variance of the next-state law out of ``k``
-        (None: the initial law) reweighted by h.
-
-        Every hook derives from this one conjugate tilt (h is Gaussian in the
-        next state): ``log_qh`` is its normaliser, ``propose_guided_states``
-        samples it, and the acceptance mass enters at one line of
-        ``log_qh_alive``, at its moments."""
-        mean, var = self._next_state_law(k)
-        lag, scale, s2, target = self._window(y_window)
-        if lag == 0:
-            return mean, var
-        post_var = 1.0 / (1.0 / var + scale**2 / s2)
-        return (post_var / var) * mean + post_var * scale * target / s2, post_var
+        row, target = self._window(y_window)
+        if row.lag == 0:
+            return np.zeros(np.shape(k))
+        law = row.laws[k is None]
+        mean = np.zeros(()) if k is None else _scaled(k, self.phi)  # the next state's mean
+        mean *= row.scale
+        return _checked(_log_density(target, mean, law.qh_var, law.qh_norm))
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
         """``count`` iid next states out of ``k_anc`` (None: the initial draw
         plus one transition), reweighted by h."""
-        mean, var = self._tilt(y_window, k_anc)
-        return float(mean) + math.sqrt(var) * stream.standard_normal(count)
+        row, target = self._window(y_window)
+        law = row.laws[k_anc is None]
+        mean = 0.0 if k_anc is None else self.phi * float(k_anc)
+        if row.lag:
+            mean = law.tilt_coef * mean + law.tilt_gain * target / row.s2
+        draws = stream.standard_normal(count)
+        draws *= law.tilt_sd
+        draws += mean
+        return draws
 
     # -- acceptance-augmented hook for the alive twisted filter -------------
 
     def log_qh_alive(self, y_window, k, kernel) -> np.ndarray:
         """log E[W * h] over the next state out of ``k`` plus one simulation."""
         lo, hi = kernel.interval(float(y_window[0]))
-        mean, var = self._tilt(y_window, k)
+        row, target = self._window(y_window)
+        law = row.laws[k is None]
+        mean = np.zeros(()) if k is None else _scaled(k, self.phi)  # shared by qh and the tilt
+        log_qh = 0.0
+        if row.lag:
+            log_qh = _log_density(target, _scaled(mean, row.scale), law.qh_var, law.qh_norm)
+            np.maximum(log_qh, LOG_FLOOR, out=log_qh)
+            mean *= law.tilt_coef
+            mean += law.tilt_gain * target / row.s2
         # the acceptance mass: one simulated observation N(K', obs_var) lands in [lo, hi]
-        mass = _log_interval_mass(mean, var + self.obs_var, lo, hi)
-        return np.maximum(self.log_qh(y_window, k) + mass, LOG_FLOOR)
+        log_mass = _log_interval_mass(mean, law.mass_var, lo, hi)
+        return _checked(np.add(log_qh, log_mass, out=mean))  # mean's buffer is free now
 
 
 def lg_twist(params, lag: int) -> GaussianLookaheadTwist:
@@ -410,16 +470,13 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             guided = twist.propose_guided_states(
                 prev.states[guided_ancestor], y_window, stream, 1
             )
-            probs = np.exp(prev.log_weights - prev.log_weights.max())
             other_ancestors = categorical_many(stream, probs, n_particles - 1)
             others = model.transition_sampler(prev.states[other_ancestors], stream)
             # the previous pool's log-weight total is exactly last step's factor input
             log_qh_sum = log_scores_sum - prev_total
         states = np.concatenate((guided, others))
         log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
-        total = _logsumexp1d(log_weights)
-        if not np.isfinite(total):
-            raise ParticleDeathError(t)
+        probs, total = _pool_weights(log_weights, t)
         log_wh_sum = _logsumexp1d(twist.log_h(y_window, states)) - math.log(n_particles)
         prev_total = total
         generation = BootstrapGeneration(

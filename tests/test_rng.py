@@ -1,5 +1,7 @@
 """Seeded stream derivation and categorical draw helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,23 @@ class TestCategorical:
     def test_invalid_weights_rejected(self, weights):
         with pytest.raises(ValueError, match="invalid categorical weights"):
             categorical_many(derive_stream(SeedSpec(9, 1)), weights, 1)
+
+    def test_overflowing_total_rejected(self):
+        """Finite weights whose sum overflows used to draw the last index every
+        time; the total is the cdf's last entry, so it fails the check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy may warn as the sum overflows
+            with pytest.raises(ValueError, match="invalid categorical weights"):
+                categorical_many(derive_stream(SeedSpec(9, 1)), [1e308, 1e308], 1000)
+
+    @pytest.mark.parametrize("log_weights", [
+        [-np.inf, -np.inf], [0.0, np.nan], [np.inf, 0.0], [np.nan, np.nan],
+    ])
+    def test_log_categorical_refuses_degenerate_weights(self, log_weights):
+        """All -inf, a NaN or a +inf used to come back as (1, nan)."""
+        stream = derive_stream(SeedSpec(9, 3))
+        with pytest.raises(ValueError, match="invalid categorical weights"):
+            log_categorical(stream, np.array(log_weights))
 
     def test_distribution_matches_weights(self):
         stream = derive_stream(SeedSpec(9, 2))

@@ -27,7 +27,13 @@ from alivetwist import (
     sample_until_alive,
     sv_twist,
 )
-from alivetwist.twist import LOG_FLOOR, DiscreteTableTwist, _log_interval_mass
+from alivetwist.models import norm_logpdf
+from alivetwist.twist import (
+    LOG_FLOOR,
+    DiscreteTableTwist,
+    _log_interval_mass,
+    ar1_lookahead_variance,
+)
 
 from helpers import stream_for
 
@@ -100,8 +106,22 @@ class TestValidationAndTruncation:
             _twist().log_h(np.array([]), np.array([0.0]))
 
     def test_nan_state_raises_degenerate(self):
-        with pytest.raises(ValueError, match="twist evaluated to a non-finite value"):
-            _twist().log_h(_window(), np.array([0.0, np.nan]))
+        """Every hook that reads the states refuses a NaN one, at every
+        effective lag; at lag 0 ``log_h`` and ``log_qh`` are the constant 0
+        (h = 1) and read none."""
+        twist, window = _twist(), _window()
+        overflowing = GaussianLookaheadTwist(phi=1e100, nu2=1.0, obs_var=1.0, lag=5)
+        k = np.array([0.0, np.nan])
+        kernel = AbcKernel(epsilon=0.8, mode="absolute")
+        for call in (
+            lambda: twist.log_h(window, k),
+            lambda: twist.log_qh(window, k),
+            lambda: twist.log_qh_alive(window, k, kernel),
+            lambda: twist.log_qh_alive(window[:1], k, kernel),  # the final step: lag 0
+            lambda: overflowing.log_qh_alive(window, k, kernel),  # untwisted: lag 0
+        ):
+            with pytest.raises(ValueError, match="twist evaluated to a non-finite value"):
+                call()
 
     def test_overflowing_lookahead_step_is_untwisted(self):
         """phi**lag past a float: every hook is the lag-0 (h = 1) twist's."""
@@ -129,6 +149,72 @@ class TestValidationAndTruncation:
         )
         assert (sv.phi, sv.nu2, sv.lag) == (0.5, 0.01, 5)
         assert sv.obs_var == pytest.approx(2.0 * 0.5**2)
+
+
+def _direct_constants(twist, window, k):
+    """The constants of one hook call, written out afresh as a direct
+    implementation computes them on every call: (effective lag, phi**lag,
+    Var(Y_(t+lag) | K_t), target observation, next-state mean, its variance)."""
+    lag = min(twist.lag, len(window) - 1)
+    try:
+        scale = twist.phi**lag
+        s2 = twist.obs_var + ar1_lookahead_variance(twist.phi, twist.nu2, lag)
+        finite = math.isfinite(scale**2 + s2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        lag, scale, s2 = 0, 1.0, twist.obs_var
+    if k is None:
+        mean, var = np.zeros(()), (1.0 + twist.phi**2) * twist.nu2
+    else:
+        mean, var = twist.phi * k, twist.nu2
+    return lag, scale, s2, float(window[lag]), mean, var
+
+
+def _assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLookaheadRows:
+    @pytest.mark.parametrize("twist, state_scale", [
+        (_twist(), 2.0),
+        (GaussianLookaheadTwist(phi=-0.7, nu2=2.0, obs_var=0.05, lag=5), 2.0),
+        (GaussianLookaheadTwist(phi=1.0, nu2=0.3, obs_var=1.5, lag=2), 2.0),
+        # lag 1 only: phi**(2 lag) overflows from lag 2 on, so those steps are untwisted
+        (GaussianLookaheadTwist(phi=1e100, nu2=1.0, obs_var=1.0, lag=5), 1e-100),
+        (GaussianLookaheadTwist(phi=0.9, nu2=1.0, obs_var=1.0, lag=10**6), 2.0),
+    ])
+    def test_hooks_equal_the_direct_formulas_bit_for_bit(self, twist, state_scale):
+        """The per-lag rows only move constant arithmetic out of the calls: every
+        hook equals the formulas evaluated afresh, at every effective lag."""
+        window = 3.0 * _window(241, 7)
+        kernel = AbcKernel(epsilon=0.9, mode="relative")
+        k = state_scale * stream_for(242).normal(size=9)
+        for start in range(len(window)):
+            y_window = window[start:]
+            lo, hi = kernel.interval(float(y_window[0]))
+            lag, scale, s2, target, _, _ = _direct_constants(twist, y_window, k)
+            want = (np.zeros(k.shape) if lag == 0
+                    else np.maximum(norm_logpdf(target, scale * k, s2), LOG_FLOOR))
+            _assert_same_bits(twist.log_h(y_window, k), want)
+            for states, anchor in ((k, k[0]), (None, None)):
+                lag, scale, s2, target, mean, var = _direct_constants(twist, y_window, states)
+                if lag == 0:
+                    log_qh, tilt_mean, tilt_var = np.zeros(mean.shape), mean, var
+                else:
+                    log_qh = np.maximum(norm_logpdf(target, scale * mean, s2 + scale**2 * var),
+                                        LOG_FLOOR)
+                    tilt_var = 1.0 / (1.0 / var + scale**2 / s2)
+                    tilt_mean = (tilt_var / var) * mean + tilt_var * scale * target / s2
+                mass = _log_interval_mass(tilt_mean, tilt_var + twist.obs_var, lo, hi)
+                draws = (float(tilt_mean.flat[0])
+                         + math.sqrt(tilt_var) * stream_for(243).standard_normal(5))
+                _assert_same_bits(twist.log_qh(y_window, states), log_qh)
+                _assert_same_bits(twist.log_qh_alive(y_window, states, kernel),
+                                  np.maximum(log_qh + mass, LOG_FLOOR))
+                _assert_same_bits(
+                    twist.propose_guided_states(anchor, y_window, stream_for(243), 5), draws)
 
 
 class TestGaussianConsistency:
