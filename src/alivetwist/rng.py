@@ -1,11 +1,15 @@
 """Deterministic random-number streams.
 
 Every stochastic routine in this package draws from a stream derived from a
-``SeedSpec``.  Streams are built on the counter-based Philox generator, so a
-(master_seed, stream_id) pair always yields the same sequence regardless of
-how many other streams exist or in which order they are consumed.  That is
-what makes serial and worker-pool runs byte-identical: each unit of work owns
-its own stream id and never shares generator state.
+``SeedSpec``.  A stream is numpy's SFC64 generator seeded by
+``SeedSequence(master_seed, spawn_key=(stream_id,))``: a pure function of the
+(master_seed, stream_id) pair, whatever other streams exist and in whatever
+order they are consumed.  Distinct pairs give independent streams through
+SeedSequence's spawn-key hashing, the mechanism numpy documents for parallel
+streams.  That is what makes serial and worker-pool runs byte-identical: each
+unit of work owns its own stream id and never shares generator state.  The
+bits depend on the pair and on numpy's SeedSequence and SFC64 algorithms, so
+outputs are fixed for a given configuration, seed and numpy bit generator.
 """
 
 from __future__ import annotations
@@ -45,11 +49,16 @@ class SeedSpec:
 def derive_stream(seed: SeedSpec) -> np.random.Generator:
     """Create the generator addressed by ``seed``.
 
-    The 128-bit Philox key is (master_seed, stream_id), so distinct stream
-    ids give statistically independent sequences by construction.
+    SFC64, seeded by a SeedSequence whose entropy is master_seed and whose
+    spawn key is (stream_id,): the stream is the spawn_key child of the
+    master seed, so distinct stream ids are independent as spawned children
+    are, and swapping master_seed and stream_id gives a different stream.
+    SFC64 is used for speed: it draws normals 1.2 to 1.7 times and
+    uniforms 2.4 times as fast as Philox (numpy 2.4.6, x86-64), at about
+    5 µs more per stream created.
     """
-    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = np.random.SeedSequence(seed.master_seed, spawn_key=(seed.stream_id,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def gaussian(stream: np.random.Generator, mean: float, variance: float) -> float:

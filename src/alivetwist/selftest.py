@@ -13,6 +13,7 @@ healthy build passes deterministically.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -66,14 +67,20 @@ class _ThresholdKernel:
 def _replicate_means(name: str, cases) -> CheckResult:
     """Each case (template, draw, stream, reps, target) passes when the mean of
     ``reps`` values ``draw(stream)`` lies within three standard errors of
-    ``target``; values with zero spread pass only if their mean is the target.
-    ``template`` formats the case's detail from ``mean`` and ``target``."""
+    ``target``; values with zero spread pass only if their mean is the target
+    up to rounding (relative 1e-12: an exact oracle such as the finite-state
+    recursion sums rounded products, so it can sit a few ulps off an
+    estimator that is exactly 1).  ``template`` formats the case's detail
+    from ``mean`` and ``target``."""
     passed, details = True, []
     for template, draw, stream, reps, target in cases:
         values = np.array([draw(stream) for _ in range(reps)])
         mean = float(values.mean())
         se = float(values.std(ddof=1) / np.sqrt(reps))
-        z = abs(mean - target) / se if se > 0 else (0.0 if mean == target else np.inf)
+        if se > 0:
+            z = abs(mean - target) / se
+        else:
+            z = 0.0 if math.isclose(mean, target, rel_tol=1e-12) else np.inf
         passed = passed and z <= 3.0
         details.append(template.format(mean=mean, target=target) + f" (z = {z:.2f})")
     return CheckResult(name, passed, "; ".join(details))

@@ -286,11 +286,16 @@ class TestEarlyRejectionStep:
         run_filter = sv_filter_runner(synthetic_sv_record(906, 20), config, "alive")
         prior = SvPriorSpec()
         current, candidate = SvTheta(0.5, 0.01, 0.5), SvTheta(0.5, 0.01, 0.55)
-        state = PmmhState(current, sv_log_prior(prior, current), -5.6)
 
         def unfloored(theta, stream):
             with rejection_floor(None):
                 return run_filter(theta, stream)
+
+        # The state's log Ẑ is a typical full run at the current theta, so the
+        # candidate is accepted about half the time whatever the record drew.
+        runs = [unfloored(current, stream_for(909, rep))[1] for rep in range(9)]
+        log_z = np.median([estimate.log_total for estimate in runs])
+        state = PmmhState(current, sv_log_prior(prior, current), float(log_z))
 
         reps = 500
         rates, early = [], []

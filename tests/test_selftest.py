@@ -3,7 +3,9 @@ and the grid-posterior oracle's power to fail."""
 
 import subprocess
 import sys
+from functools import partial
 
+import numpy as np
 import pytest
 
 from alivetwist import selftest
@@ -36,21 +38,29 @@ def test_discrete_check_seeds_do_not_depend_on_string_hashing():
     assert _discrete_check_detail("1") == _discrete_check_detail("2")
 
 
-def test_exact_discrete_estimators_pass():
-    """Seed 1's acceptance table accepts every symbol, so the plain alive
-    estimate and the twisted ones under the constant and acceptance-prob
-    twists equal the marginal exactly: those replicates have no spread.
+def test_exact_discrete_estimators_pass(monkeypatch):
+    """On a table that accepts every symbol, the plain alive estimate and the
+    twisted ones under the constant and acceptance-prob twists equal the
+    marginal exactly: those replicates have no spread, and the check must
+    pass them with z = 0 rather than divide by their zero spread.
 
     The random-positive twist's factors do not cancel, so its case is a
     20-run z-test rather than an exact one; random-twist unbiasedness is
     covered at 800 runs by ``TestAliveTwistedDiscrete`` instead."""
-    params, _, _ = toy_discrete_instance(1)
-    assert params.acceptance.all()
+    accept_all = np.ones((3, 3), dtype=bool)
+    monkeypatch.setattr(selftest, "toy_discrete_instance",
+                        partial(toy_discrete_instance, acceptance=accept_all))
     detail = check_discrete_unbiasedness(1, reps=20).detail
     cases = dict(part.split(": ", 1) for part in detail.split("; "))
     assert cases["alive"] == "mean 1.00000 vs 1.00000 (z = 0.00)", detail
     for twist in ("constant", "acceptance-prob"):
         assert cases[f"twisted[{twist}]"] == "mean 1.00000 (z = 0.00)", detail
+
+
+def test_discrete_check_passes_at_seed_one():
+    """The quick selftest's discrete check at seed 1, on that seed's own table."""
+    result = check_discrete_unbiasedness(1, reps=400)
+    assert result.passed, result.detail
 
 
 def _constant_case(value: float, target: float):
@@ -68,6 +78,13 @@ def test_constant_estimate_on_its_target_passes():
     result = _replicate_means("constant", [_constant_case(1.0, 1.0)])
     assert result.passed
     assert result.detail == "mean 1.000 vs 1.000 (z = 0.00)"
+
+
+def test_zero_spread_tolerates_only_rounding_in_the_target():
+    """An exact estimate of 1 against an oracle a few ulps off (the
+    finite-state recursion's 1 + 4.4e-16 at seed 1) passes; 1e-9 off fails."""
+    assert _replicate_means("constant", [_constant_case(1.0, 1.0 + 4.4e-16)]).passed
+    assert not _replicate_means("constant", [_constant_case(1.0, 1.0 + 1e-9)]).passed
 
 
 GRID_SEED = 20260815
