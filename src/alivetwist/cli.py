@@ -100,7 +100,8 @@ def _build_parser() -> _Parser:
     grid.add_argument("--out", required=True, help="output CSV path")
 
     chain = commands.add_parser("pmmh", help="sample the volatility-model posterior")
-    chain.add_argument("--algo", required=True, choices=["alive", "alive-twisted"])
+    chain.add_argument("--algo", required=True,
+                       choices=[name for name, algo in FILTERS.items() if algo.uses_kernel])
     chain.add_argument("--config", required=True, help="JSON config with a 'pmmh' section")
     chain.add_argument("--data", required=True, help="input CSV")
     chain.add_argument("--data-kind", default="observations", choices=["observations", "prices"],
@@ -226,7 +227,7 @@ def _cmd_pmmh(args) -> int:
         "steps": int(observations.size),
         "master_seed": args.seed,
     }
-    if args.algo == "alive-twisted":
+    if FILTERS[args.algo].twisted:
         summary["twist"] = "gaussian-lookahead, observation variance 2*gamma^2"
     with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, sort_keys=True, indent=2)

@@ -155,38 +155,38 @@ def parse_kernel(config: dict) -> AbcKernel:
         raise ConfigError(str(err)) from err
 
 
-def _check_filter_sizes(config) -> None:
-    """ConfigError unless ``config`` has n_particles >= 2, cap >= n_particles
-    and lag >= 0, the sizes every filter run needs."""
-    if config.n_particles < 2:
-        raise ConfigError(f"n_particles must be at least 2, got {config.n_particles}")
-    if config.cap < config.n_particles:
-        raise ConfigError("cap must be at least n_particles")
-    if config.lag < 0:
-        raise ConfigError(f"lag must be nonnegative, got {config.lag}")
-
-
 @dataclass(frozen=True)
 class FilterConfig:
+    """The sizes every filter run needs; the base of the driver configs."""
+
     n_particles: int
     cap: int
     lag: int
 
     def __post_init__(self) -> None:
-        _check_filter_sizes(self)
+        if self.n_particles < 2:
+            raise ConfigError(f"n_particles must be at least 2, got {self.n_particles}")
+        if self.cap < self.n_particles:
+            raise ConfigError("cap must be at least n_particles")
+        if self.lag < 0:
+            raise ConfigError(f"lag must be nonnegative, got {self.lag}")
 
 
-def parse_filter(config: dict) -> FilterConfig:
-    section = _section(config, "filter")
-    return FilterConfig(
+def _filter_sizes(section: dict, default_lag: int) -> dict:
+    """The FilterConfig keys of ``section``, with the command's lag default."""
+    return dict(
         n_particles=_integer(section, "n_particles", required=True),
         cap=_integer(section, "cap", DEFAULT_TRIAL_CAP),
-        lag=_integer(section, "lag", 0),
+        lag=_integer(section, "lag", default_lag),
     )
 
 
+def parse_filter(config: dict) -> FilterConfig:
+    return FilterConfig(**_filter_sizes(_section(config, "filter"), default_lag=0))
+
+
 @dataclass(frozen=True)
-class GridConfig:
+class GridConfig(FilterConfig):
     """Variance-comparison sweep over latent/observation noise scales."""
 
     phi: float
@@ -194,20 +194,17 @@ class GridConfig:
     tau2_values: List[float]
     replicates: int
     steps: int
-    n_particles: int
     epsilon: float
-    lag: int
-    cap: int
     mode: str
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.replicates < 2:
             raise ConfigError(f"replicates must be at least 2, got {self.replicates}")
         if not self.nu2_values or not self.tau2_values:
             raise ConfigError("nu2_values and tau2_values must be nonempty")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
-        _check_filter_sizes(self)
 
 
 def parse_grid(config: dict) -> GridConfig:
@@ -219,28 +216,23 @@ def parse_grid(config: dict) -> GridConfig:
         ):
             raise ConfigError(f"key '{key}' must be a list of positive finite numbers")
     return GridConfig(
+        **_filter_sizes(section, default_lag=5),
         phi=_number(section, "phi", required=True),
         nu2_values=[float(v) for v in section["nu2_values"]],
         tau2_values=[float(v) for v in section["tau2_values"]],
         replicates=_integer(section, "replicates", required=True),
         steps=_integer(section, "steps", required=True),
-        n_particles=_integer(section, "n_particles", required=True),
         epsilon=_number(section, "epsilon", required=True),
-        lag=_integer(section, "lag", 5),
-        cap=_integer(section, "cap", DEFAULT_TRIAL_CAP),
         mode=section.get("mode", "relative"),
     )
 
 
 @dataclass(frozen=True)
-class PmmhConfig:
+class PmmhConfig(FilterConfig):
     """One posterior-sampling run for the volatility model."""
 
     iterations: int
-    n_particles: int
     epsilon: float
-    lag: int
-    cap: int
     alpha: float
     beta: float
     delta: float
@@ -250,6 +242,7 @@ class PmmhConfig:
     steps: Optional[int] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.iterations < 1:
             raise ConfigError("iterations must be positive")
         if not 0 <= self.burn_in_fraction < 1:
@@ -258,7 +251,6 @@ class PmmhConfig:
             raise ConfigError("acf_max_lag must be positive")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps must be positive when given")
-        _check_filter_sizes(self)
 
     @property
     def burn_in(self) -> int:
@@ -268,11 +260,9 @@ class PmmhConfig:
 def parse_pmmh(config: dict) -> PmmhConfig:
     section = _section(config, "pmmh")
     return PmmhConfig(
+        **_filter_sizes(section, default_lag=5),
         iterations=_integer(section, "iterations", required=True),
-        n_particles=_integer(section, "n_particles", required=True),
         epsilon=_number(section, "epsilon", required=True),
-        lag=_integer(section, "lag", 5),
-        cap=_integer(section, "cap", DEFAULT_TRIAL_CAP),
         alpha=_number(section, "alpha", required=True),
         beta=_number(section, "beta", 0.0),
         delta=_number(section, "delta", 0.0),

@@ -139,16 +139,14 @@ class HmmModel:
     All samplers accept/return 1-d arrays of latent states.
     ``log_observation_density`` is None exactly when the observation density
     is unavailable; then only the accept/reject filters apply.
-    ``log_lookahead_predictive`` is always None: no model sets it and no
-    filter reads it.  It is kept only so that code wrapping every closure
-    by name still finds the attribute.
     """
 
     init_state_sampler: Callable[[np.random.Generator, int], np.ndarray]
     transition_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     observation_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     log_observation_density: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    log_lookahead_predictive: Optional[Callable] = None
+    # not a field: bench/tracing.py's _MODEL_CLOSURES reads it by getattr on every model
+    log_lookahead_predictive = None
 
 
 def simulate(model: HmmModel, steps: int, stream: np.random.Generator):

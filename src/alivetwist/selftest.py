@@ -24,7 +24,7 @@ import numpy as np
 
 from .configs import GridConfig, PmmhConfig, filter_algo
 from .experiments import parallel_map, run_sv_pmmh, variance_grid
-from .kernels import DiscreteBallKernel
+from .kernels import AbcKernel, DiscreteBallKernel
 from .models import (
     DiscreteHmmParams,
     LinearGaussianParams,
@@ -52,16 +52,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-class _ThresholdKernel:
-    """Accepts iff the pseudo-observation is below ``rate``: Bernoulli weights."""
-
-    def __init__(self, rate: float):
-        self.rate = rate
-
-    def weights(self, simulated, observed):
-        return (np.asarray(simulated) < self.rate).astype(np.int64)
 
 
 def _replicate_means(name: str, cases) -> CheckResult:
@@ -99,9 +89,10 @@ def check_stopping_time_mean(master_seed: int, reps: int) -> CheckResult:
     n_particles = 10
 
     def factor(rate, stream):
+        # the ball of radius rate/2 around rate/2 accepts a uniform w.p. rate
         _, stopping_time = sample_until_alive(
-            lambda stream, count: {"pseudo_obs": stream.random(count)}, _ThresholdKernel(rate),
-            None, n_particles, 10_000_000, stream,
+            lambda stream, count: {"pseudo_obs": stream.random(count)},
+            AbcKernel(rate / 2, "absolute"), rate / 2, n_particles, 10_000_000, stream,
             batch_hint=int(np.ceil(2.6 * n_particles / rate)),
         )
         return (n_particles - 1) / (stopping_time - 1)

@@ -15,6 +15,7 @@ from alivetwist.selftest import (
     _replicate_means,
     check_discrete_unbiasedness,
     check_grid_posterior,
+    check_sv_posterior_sampling,
     toy_discrete_instance,
 )
 from alivetwist.smc import NormConstEstimate, StoppingTimeCapError
@@ -36,6 +37,18 @@ def _discrete_check_detail(hash_seed: str) -> str:
 
 def test_discrete_check_seeds_do_not_depend_on_string_hashing():
     assert _discrete_check_detail("1") == _discrete_check_detail("2")
+
+
+def test_sv_posterior_check_is_the_same_in_a_worker_pool():
+    """The posterior check gives the same verdict and detail whether its
+    chains run in this process or in two workers."""
+    def check(workers):
+        result = check_sv_posterior_sampling(7, iterations=20, n_particles=10, steps=10,
+                                             seeds=1, acf_slack=1.0, workers=workers,
+                                             compare_acf=False)
+        return result.passed, result.detail
+
+    assert check(1) == check(2)
 
 
 def test_exact_discrete_estimators_pass(monkeypatch):
