@@ -139,12 +139,22 @@ class HmmModel:
     All samplers accept/return 1-d arrays of latent states.
     ``log_observation_density`` is None exactly when the observation density
     is unavailable; then only the accept/reject filters apply.
+
+    A model whose observation noise is iid and free of the state also sets
+    the noise hook: ``observation_noise(stream, n)`` draws n noise values and
+    ``observe(k, noise)`` maps states and their noise to observations without
+    a stream, with ``observation_sampler(k, stream)`` equal to
+    ``observe(k, observation_noise(stream, k.shape))``.  The alive filters
+    then draw the noise in blocks (``smc.pseudo_observer``).  Both are set or
+    neither is.
     """
 
     init_state_sampler: Callable[[np.random.Generator, int], np.ndarray]
     transition_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     observation_sampler: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     log_observation_density: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    observation_noise: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
+    observe: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     # not a field: bench/tracing.py's _MODEL_CLOSURES reads it by getattr on every model
     log_lookahead_predictive = None
 
@@ -210,14 +220,23 @@ def lg_model(params: LinearGaussianParams) -> HmmModel:
 
 
 def sv_model(params: StochasticVolatilityParams) -> HmmModel:
-    """Stochastic-volatility bundle; the observation density is unavailable."""
+    """Stochastic-volatility bundle; the observation density is unavailable.
+
+    The stable noise is iid and free of the state, so the bundle carries the
+    noise hook and the alive filters draw it in blocks."""
+
+    def observation_noise(stream, size):
+        return stable_sample(stream, params.alpha, params.beta, params.gamma, params.delta, size=size)
+
+    def observe(k, noise):
+        return np.exp(k / 2.0) * noise
 
     def observation_sampler(k, stream):
         k = np.asarray(k, dtype=float)
-        noise = stable_sample(stream, params.alpha, params.beta, params.gamma, params.delta, size=k.shape)
-        return np.exp(k / 2.0) * noise
+        return observe(k, observation_noise(stream, k.shape))
 
-    return HmmModel(*_ar1_samplers(params.F, params.nu2), observation_sampler)
+    return HmmModel(*_ar1_samplers(params.F, params.nu2), observation_sampler,
+                    observation_noise=observation_noise, observe=observe)
 
 
 def discrete_model(params: DiscreteHmmParams) -> HmmModel:

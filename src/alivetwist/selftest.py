@@ -41,6 +41,7 @@ from .rng import SeedSpec, categorical_many, derive_stream
 from .smc import alive_filter, sample_until_alive
 from .twist import (
     acceptance_prob_twist,
+    alive_twisted_filter,
     constant_twist,
     lg_twist,
     random_positive_twist,
@@ -140,6 +141,28 @@ def check_discrete_unbiasedness(master_seed: int, reps: int) -> CheckResult:
                       partial(_estimate, "alive-twisted", model, kernel, twist, observations, 20),
                       derive_stream(SeedSpec(master_seed, 4 + position)), reps, target))
     return _replicate_means("finite-state marginal unbiased", cases)
+
+
+def check_optimal_twist_exact(master_seed: int, instances: int) -> CheckResult:
+    """With the optimal twist the twisted alive estimate is the exact marginal.
+
+    ``acceptance_prob_twist`` over the whole record is h*, under which the
+    step factors telescope to the finite-state marginal whatever the stopping
+    times, so every run at N = 2, 5 and 20 must match it to 1e-12 in log.
+    """
+    worst = 0.0
+    for seed in range(master_seed, master_seed + instances):
+        params, model, observations = toy_discrete_instance(seed, steps=8)
+        twist = acceptance_prob_twist(params, observations, lag=observations.size)
+        truth = discrete_abc_log_marginal(params, observations)
+        for n_particles in (2, 5, 20):
+            _, estimate = alive_twisted_filter(
+                model, DiscreteBallKernel(params.acceptance), twist, observations, n_particles,
+                stream=derive_stream(SeedSpec(seed, 20 + n_particles)),
+            )
+            worst = max(worst, abs(estimate.log_total - truth))
+    return CheckResult("optimal twist is exact", worst <= 1e-12,
+                       f"worst |log Zhat - log Z| {worst:.1e} over {instances} instances")
 
 
 def check_lg_unbiasedness(master_seed: int, bootstrap_particles: int, bootstrap_reps: int,
@@ -327,6 +350,7 @@ def run_selftest(level: str = _QUICK, master_seed: int = 20260815,
 
     timed(lambda: check_stopping_time_mean(master_seed, reps=100_000 if full else 3_000))
     timed(lambda: check_discrete_unbiasedness(master_seed, reps=10_000 if full else 400))
+    timed(lambda: check_optimal_twist_exact(master_seed, instances=29 if full else 5))
     if full:
         timed(lambda: check_lg_unbiasedness(master_seed, 2000, 200, 100, 500))
         timed(lambda: check_variance_reduction(master_seed, steps=50, n_particles=200,

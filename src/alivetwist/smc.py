@@ -26,6 +26,17 @@ different schedule hands each proposal different draws from the stream (a
 proposer that reads the stream takes its draws batch by batch), which
 changes the trajectory a seed gives but not its law.
 
+Each filter run simulates its pseudo-observations through one
+:func:`pseudo_observer`.  A model whose observation noise is iid and free of
+the state (the volatility model's stable noise) has that noise drawn
+``NOISE_BLOCK`` at a time and served in order across batches and steps, so
+one stable transform serves many small batches instead of each batch paying
+its fixed cost.  Which noise a proposal gets never depends on noise not yet
+served, so the pool is still the prefix of an iid proposal sequence, and the
+cap still counts proposals, not noise draws.  The other models observe
+through ``observation_sampler``: one normal or uniform draw per batch costs
+less than the buffer's bookkeeping.
+
 A standard multinomial bootstrap filter over an explicit observation density
 is included as the baseline the accept/reject filters are compared against.
 
@@ -56,6 +67,9 @@ _TOP_UP_MARGIN = 1.2
 # proposals a batch may draw past the step's known need; one batch's fixed
 # cost (propose, weights, cumsum) is 350-600 proposals' worth on both models
 _SPECULATION = 256
+# noise draws per block for a model with the noise hook; on the volatility
+# chain 1024 beat 256 and 4096
+NOISE_BLOCK = 1024
 # relative allowance on the floor for rounding in the running log estimate,
 # so that an early stop never depends on the last bits of a sum
 _FLOOR_ROUNDING = 1e-9
@@ -253,14 +267,48 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             size *= 2
 
 
-def alive_proposer(model, accepted_states: Optional[np.ndarray] = None):
+def pseudo_observer(model):
+    """``observe(states, stream)``: one simulated observation per state, for
+    one filter run.
+
+    For a model with the noise hook (``model.observation_noise``) the noise
+    is drawn ``NOISE_BLOCK`` at a time and served in order; a request larger
+    than what is left takes the rest plus one fresh draw of at least a
+    block.  No draw is reused or skipped, and what is left when the run ends
+    is dropped with the observer.  For any other model this is
+    ``model.observation_sampler``.
+    """
+    draw, apply = model.observation_noise, model.observe
+    if draw is None:
+        return model.observation_sampler
+    block = np.empty(0)
+    used = 0
+
+    def observe(states, stream):
+        nonlocal block, used
+        end = used + states.size
+        if end <= block.size:
+            noise = block[used:end]
+        else:
+            rest = block[used:]
+            end -= block.size
+            block = draw(stream, max(NOISE_BLOCK, end))
+            noise = np.concatenate((rest, block[:end]))
+        used = end
+        return apply(states, noise)
+
+    return observe
+
+
+def alive_proposer(model, observe, accepted_states: Optional[np.ndarray] = None):
     """``propose(stream, count)`` for one alive step's plain proposals.
 
     At the first step (``accepted_states`` None) each proposal is the initial
     draw plus one transition.  Later, each picks one of ``accepted_states``,
     the previous pool's accepted particles among its first T - 1, uniformly
     and moves it one transition on.  Each call returns {'states': the
-    proposed states, 'pseudo_obs': one observation simulated from each}.
+    proposed states, 'pseudo_obs': ``observe(states, stream)``}, where
+    ``observe`` is the run's :func:`pseudo_observer`.
     """
 
     def propose(stream, count):
@@ -269,7 +317,7 @@ def alive_proposer(model, accepted_states: Optional[np.ndarray] = None):
         else:
             k = accepted_states[stream.integers(0, accepted_states.size, size=count)]
         states = model.transition_sampler(k, stream)
-        return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+        return {"states": states, "pseudo_obs": observe(states, stream)}
 
     return propose
 
@@ -298,6 +346,7 @@ def alive_filter(model, kernel, observations, n_particles: int,
     observations = checked_observations(observations)
 
     log_floor = _REJECTION_FLOOR.get()
+    observe = pseudo_observer(model)
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     log_partial = 0.0
@@ -308,8 +357,8 @@ def alive_filter(model, kernel, observations, n_particles: int,
         step_cap = cap if log_floor is None else _floor_cap(log_partial, log_floor, n_particles, cap, t)
         try:
             pool, stopping_time = sample_until_alive(
-                alive_proposer(model, accepted_states), kernel, y, n_particles, step_cap, stream,
-                batch_hint=batch_hint, step=t,
+                alive_proposer(model, observe, accepted_states), kernel, y, n_particles,
+                step_cap, stream, batch_hint=batch_hint, step=t,
             )
         except StoppingTimeCapError:
             if step_cap < cap:

@@ -61,7 +61,11 @@ transition *conditioned on acceptance* by rejection: the first
 accepts, so the guided particle lands inside the kernel's ball.  Each alive
 step reads its stream in this order: the guided anchor, the plain pool (one
 ``sample_until_alive`` call), then the guided candidates (a second call, on
-the proposals the pool left of the cap).
+the proposals the pool left of the cap).  Both calls observe through the
+run's one ``smc.pseudo_observer``: for a model with the noise hook the
+candidates take their noise where the pool's left off in the run's current
+block, and a fresh block is read from the stream only where a request runs
+past the one in hand, so most steps read no noise for their candidates.
 
 The alive step factor is then [sum of qh-with-acceptance over the previous
 pool's accepted particles] / [sum of h over the current pool's accepted
@@ -92,6 +96,7 @@ from .smc import (
     _pool_weights,
     alive_proposer,
     checked_observations,
+    pseudo_observer,
     sample_until_alive,
 )
 
@@ -514,7 +519,9 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     *conditioned on acceptance* and the guided slot is always alive.  The
     pool is the guided particle followed by the plain proposals, so the
     guided particle sits within the first T - 1 and the plain pool's own
-    last acceptance is the one left out.
+    last acceptance is the one left out.  Plain proposals and guided
+    candidates alike are observed through the run's one
+    ``smc.pseudo_observer``.
 
     Plain proposals up to the stopping position plus guided candidates up to
     the accepted one never exceed the cap: the guided call gets what the pool
@@ -540,6 +547,7 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
         raise ValueError(f"cap {cap} cannot be below the acceptance target {n_particles}")
     observations = checked_observations(observations)
 
+    observe = pseudo_observer(model)
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     batch_hint = None
@@ -561,13 +569,13 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
 
         def propose_guided(stream, count):
             states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
-            return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+            return {"states": states, "pseudo_obs": observe(states, stream)}
 
         rest = 0  # plain proposals up to the pool's stopping position, once it has one
         try:
             pool, rest = sample_until_alive(
-                alive_proposer(model, accepted_states), kernel, y, n_particles - 1, cap, stream,
-                batch_hint=batch_hint, step=t,
+                alive_proposer(model, observe, accepted_states), kernel, y, n_particles - 1,
+                cap, stream, batch_hint=batch_hint, step=t,
             )
             if rest == cap:  # nothing left to draw the guided pair with
                 raise StoppingTimeCapError(t, 0, 0, 1, 0)

@@ -1,5 +1,7 @@
 """Model bundles: parameter validation, samplers, and lookahead arithmetic."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,19 @@ class TestStochasticVolatilityModel:
         var = 2.0 * params.gamma**2 + ar1_lookahead_variance(params.F, params.nu2, 2)
         np.testing.assert_allclose(got, norm_logpdf(0.9, params.F**2 * k, var), rtol=1e-12)
 
+    def test_sampler_is_observe_of_the_noise_hook(self):
+        """``observation_sampler`` is ``observe`` of ``observation_noise`` on the
+        same stream, bit for bit, and leaves the stream where the hook does
+        (the next draw agrees)."""
+        model = sv_model(StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05,
+                                                    gamma=0.5))
+        k = stream_for(110).standard_normal(300)
+        stream = stream_for(111)
+        copied = copy.deepcopy(stream)
+        np.testing.assert_array_equal(model.observation_sampler(k, stream),
+                                      model.observe(k, model.observation_noise(copied, k.size)))
+        assert stream.random() == copied.random()
+
     def test_observation_scales_with_volatility(self):
         """At alpha=2 the noise is exactly Gaussian, so exp(k/2) scaling is
         checkable against a normal law."""
@@ -168,6 +183,13 @@ class TestStochasticVolatilityModel:
         scale = np.exp(log_vol / 2.0) * np.sqrt(2.0) * params.gamma
         pvalue = stats.kstest(y, stats.norm(loc=0.0, scale=scale).cdf).pvalue
         assert pvalue > 1e-3
+
+
+def test_only_the_volatility_model_has_the_noise_hook():
+    lg = lg_model(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0))
+    params = DiscreteHmmParams(np.array([1.0]), np.eye(1), np.eye(1), np.eye(1, dtype=bool))
+    for model in (lg, discrete_model(params)):
+        assert model.observation_noise is None and model.observe is None
 
 
 class TestDiscreteModel:

@@ -15,7 +15,19 @@ gave D 0.028, p 0.83 (alive), D 0.046, p 0.24 (alive-twisted), D 0.041,
 p 0.37 (bootstrap) and D 0.021, p 0.98 (twisted-bootstrap); and D 0.030,
 p 0.35 for alive-twisted on one finite-state instance (acceptance-probability
 twist, lag 2, N 15), 2000 runs a side.
+
+The two volatility pins were re-recorded when the alive filters began to draw
+the volatility model's stable noise in blocks per run
+(``smc.pseudo_observer``), which hands each proposal different draws but
+keeps the law.  Two-sample KS tests on log Ẑ, before against after on
+independent streams, on ``synthetic_sv_record(1, 200)`` at F 0.5, nu2 0.01,
+gamma 0.5, alpha 1.95, beta 0.05, N 50, epsilon 3.5 relative, 1000 runs a
+side, gave D 0.039, p 0.43 (alive) and D 0.035, p 0.57 (alive-twisted, lag 5).
+Every linear-Gaussian and finite-state pin, and both simulated records, stayed
+bit-identical.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,6 +54,23 @@ from helpers import stream_for
 
 LG_PARAMS = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
 SV_PARAMS = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_volatility_record():
+    """The record the volatility pins and the sv-pmmh benchmark run on."""
+    assert (_sha256(synthetic_sv_record(903, 30))
+            == "ff79a3ed27cf4eb0f2831c6442b5450978f9e7a4b1d2f8d9721db40fd35e8099")
+
+
+def test_linear_gaussian_record():
+    latents, observations = simulate(lg_model(LG_PARAMS), 20, stream_for(901))
+    assert _sha256(latents) == "9cf75834f5dfa251a61ce8db2ef5bbddb3faf71fe4942006d724b614f8782e08"
+    assert (_sha256(observations)
+            == "9fee577af1e789428740ddc86d6af13365af7d217cf51fc1f38e71d7e4777c11")
 
 
 def _lg_log_total(algo: str, seed: int) -> float:
@@ -77,7 +106,7 @@ def test_alive_twisted_on_a_volatility_record():
         sv_model(SV_PARAMS), AbcKernel(epsilon=3.5, mode="relative"), sv_twist(SV_PARAMS, 5),
         observations, 20, stream=stream_for(903, 1),
     )
-    assert estimate.log_total == pytest.approx(-7.586016045941018, abs=1e-12)
+    assert estimate.log_total == pytest.approx(-7.615092906824926, abs=1e-12)
 
 
 def test_alive_twisted_on_discrete_data():
@@ -98,13 +127,13 @@ def test_short_volatility_chain():
     np.testing.assert_array_equal(record.accepted, [1, 0, 0, 1, 0, 1, 1])
     np.testing.assert_allclose(
         record.log_zhats,
-        [-17.89356747076237, -17.89356747076237, -17.89356747076237, -14.156103374651437,
-         -14.156103374651437, -7.724681191273075, -2.4908765835845457],
+        [-17.893633698424452, -17.893633698424452, -17.893633698424452, -7.711113430366165,
+         -7.711113430366165, -2.9363740418487643, -2.1062971584868424],
         rtol=0, atol=1e-12,
     )
     np.testing.assert_allclose(
         record.theta_field("F"),
         [-0.006859454661525069, -0.006859454661525069, -0.006859454661525069,
-         -0.8951818697252721, -0.8951818697252721, -0.7375276127300288, 0.7852984526740139],
+         -0.15968155663721845, -0.15968155663721845, 0.23724395041810875, -0.7492321790838734],
         rtol=0, atol=1e-12,
     )

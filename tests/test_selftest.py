@@ -15,6 +15,7 @@ from alivetwist.selftest import (
     _replicate_means,
     check_discrete_unbiasedness,
     check_grid_posterior,
+    check_optimal_twist_exact,
     check_sv_posterior_sampling,
     toy_discrete_instance,
 )
@@ -68,6 +69,11 @@ def test_exact_discrete_estimators_pass(monkeypatch):
     assert cases["alive"] == "mean 1.00000 vs 1.00000 (z = 0.00)", detail
     for twist in ("constant", "acceptance-prob"):
         assert cases[f"twisted[{twist}]"] == "mean 1.00000 (z = 0.00)", detail
+
+
+def test_optimal_twist_check_passes():
+    result = check_optimal_twist_exact(1, instances=3)
+    assert result.passed, result.detail
 
 
 def test_discrete_check_passes_at_seed_one():

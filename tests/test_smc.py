@@ -13,6 +13,7 @@ from alivetwist import (
     LinearGaussianParams,
     NormConstEstimate,
     ParticleDeathError,
+    StochasticVolatilityParams,
     StoppingTimeCapError,
     alive_filter,
     alive_twisted_filter,
@@ -23,10 +24,13 @@ from alivetwist import (
     rejection_floor,
     sample_until_alive,
     simulate,
+    sv_model,
+    sv_twist,
 )
 from alivetwist.configs import FILTERS
 from alivetwist.models import HmmModel
-from alivetwist.smc import _MAX_BATCH, _SPECULATION
+from alivetwist.selftest import synthetic_sv_record
+from alivetwist.smc import _MAX_BATCH, _SPECULATION, NOISE_BLOCK, _floor_cap, pseudo_observer
 
 from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for, validate_generation
 
@@ -502,6 +506,154 @@ class TestEarlyRejection:
                                                    observations, 20, stream=stream_for(231))
             estimates.append(estimate.log_total)
         assert estimates[0] == estimates[1]
+
+
+def _block_model():
+    """A model with the noise hook whose observation is its noise; every
+    block the hook draws is kept, in order, in the returned list."""
+    blocks = []
+
+    def observation_noise(stream, size):
+        blocks.append(stream.random(size))
+        return blocks[-1]
+
+    def observe(k, noise):
+        return k + noise
+
+    model = HmmModel(lambda stream, count: np.zeros(count), lambda k, stream: k,
+                     lambda k, stream: observe(k, observation_noise(stream, k.shape)),
+                     observation_noise=observation_noise, observe=observe)
+    return model, blocks
+
+
+class TestPseudoObserver:
+    """A run's observer serves the noise hook's blocks in order, whole."""
+
+    @pytest.mark.parametrize("requests", [
+        [1, 99, 500],  # below the block
+        [NOISE_BLOCK, NOISE_BLOCK],  # equal to it
+        [100, NOISE_BLOCK - 100, 1],  # exactly what is left, then a fresh block
+        [NOISE_BLOCK + 1, 3],  # above it
+        [700, 700, 2 * NOISE_BLOCK + 5, 10],  # above what is left: the rest plus a fresh draw
+        [5, DEFAULT_TRIAL_CAP, 7],  # a cap-sized request
+    ])
+    def test_served_noise_is_the_prefix_of_the_drawn_blocks(self, requests):
+        model, blocks = _block_model()
+        observe = pseudo_observer(model)
+        assert blocks == []  # nothing is drawn before the first request
+        served = [observe(np.zeros(count), stream_for(240)) for count in requests]
+        assert [s.size for s in served] == requests
+        drawn = np.concatenate(blocks)
+        np.testing.assert_array_equal(np.concatenate(served), drawn[: sum(requests)])
+        assert all(block.size >= NOISE_BLOCK for block in blocks)
+        # a fresh draw comes only when a request exceeds what is left
+        assert drawn.size - sum(requests) < blocks[-1].size
+
+    def test_states_enter_through_observe(self):
+        model, blocks = _block_model()
+        states = np.arange(5.0)
+        np.testing.assert_array_equal(pseudo_observer(model)(states, stream_for(241)),
+                                      states + blocks[0][:5])
+
+    def test_a_model_without_the_hook_uses_its_sampler(self):
+        model = lg_model(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0))
+        assert pseudo_observer(model) is model.observation_sampler
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_nothing_outlives_a_run(self, twisted):
+        """Two runs of one model on equal streams agree: each run draws its
+        own blocks and drops what it leaves."""
+        params = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
+        model = sv_model(params)
+        observations = synthetic_sv_record(242, 10)
+        kernel = AbcKernel(epsilon=3.5, mode="relative")
+        if twisted:
+            run = lambda s: alive_twisted_filter(model, kernel, sv_twist(params, 3),
+                                                 observations, 20, stream=s)
+        else:
+            run = lambda s: alive_filter(model, kernel, observations, 20, stream=s)
+        assert (run(stream_for(243))[1].log_factors == run(stream_for(243))[1].log_factors)
+
+
+class _RecordingKernel:
+    """An ``AbcKernel`` that keeps (observed, a copy of the batch, its weights)
+    for every batch it scores."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = []
+
+    def weights(self, simulated, observed):
+        weights = self.kernel.weights(simulated, observed)
+        self.calls.append((float(observed), np.array(simulated), weights))
+        return weights
+
+
+def _calls_before(calls, observed):
+    """The batches scored before the first one for ``observed``."""
+    return calls[: next((i for i, call in enumerate(calls) if call[0] == observed), len(calls))]
+
+
+class TestEarlyRejectionWithNoiseBlocks:
+    """On the volatility model, whose noise comes in blocks, a floored run
+    sees exactly the full run's batches until it stops."""
+
+    N = 20
+    PARAMS = StochasticVolatilityParams(F=0.5, nu2=0.01, alpha=1.95, beta=0.05, gamma=0.5)
+
+    def _run(self, log_floor, observations):
+        kernel = _RecordingKernel(AbcKernel(epsilon=3.5, mode="relative"))
+        with rejection_floor(log_floor):
+            try:
+                generations, estimate = alive_filter(sv_model(self.PARAMS), kernel, observations,
+                                                     self.N, stream=stream_for(245))
+            except EarlyRejection as stop:
+                generations, estimate = None, stop
+        return generations, estimate, kernel.calls
+
+    def _factors(self, calls, observations):
+        """Each step's log factor, read off the scored batches."""
+        factors = []
+        for y in observations:
+            weights = np.concatenate([w for obs, _, w in calls if obs == y])
+            stop = int(np.searchsorted(np.cumsum(weights), self.N)) + 1
+            factors.append(math.log(self.N - 1) - math.log(stop - 1))
+        return factors
+
+    def test_floored_run_stops_where_the_full_run_says(self):
+        observations = synthetic_sv_record(244, 30)
+        generations, full, full_calls = self._run(None, observations)
+        log_floor = full.log_total + 0.5  # certain rejection: the full run ends below it
+        stop_step, log_partial = None, 0.0
+        for t, generation in enumerate(generations):
+            try:
+                step_cap = _floor_cap(log_partial, log_floor, self.N, DEFAULT_TRIAL_CAP, t)
+            except EarlyRejection:
+                stop_step = t
+                break
+            if generation.stopping_time > step_cap:
+                stop_step = t
+                break
+            log_partial += full.log_factors[t]
+        assert 0 < stop_step < observations.size - 1
+
+        _, floored, floored_calls = self._run(log_floor, observations)
+        assert isinstance(floored, EarlyRejection) and floored.step == stop_step
+        y_stop = float(observations[stop_step])
+        before, full_before = (_calls_before(floored_calls, y_stop),
+                               _calls_before(full_calls, y_stop))
+        assert len(before) == len(full_before)
+        for (y_a, a, _), (y_b, b, _) in zip(before, full_before):
+            assert y_a == y_b
+            np.testing.assert_array_equal(a, b)
+        assert (self._factors(before, observations[:stop_step])
+                == full.log_factors[:stop_step])
+
+    def test_completed_run_is_the_full_run(self):
+        observations = synthetic_sv_record(244, 30)
+        _, full, _ = self._run(None, observations)
+        _, floored, _ = self._run(full.log_total - 5.0, observations)
+        assert floored.log_factors == full.log_factors
 
 
 class _ScriptedGuidance:

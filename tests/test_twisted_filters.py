@@ -17,6 +17,7 @@ from alivetwist import (
     ParticleDeathError,
     StoppingTimeCapError,
     StochasticVolatilityParams,
+    acceptance_prob_twist,
     alive_filter,
     alive_twisted_filter,
     constant_twist,
@@ -444,6 +445,26 @@ class TestAliveTwistedDiscrete:
                 for rep in range(800)
             ])
             assert monte_carlo_z(estimates, truth) < 3.0, name
+
+
+class TestOptimalTwist:
+    """With h*, the probability that fresh simulations from a state pass every
+    later observation, each step's numerator is the previous step's
+    denominator over the same accepted particles, so the factors telescope to
+    the marginal whatever the stopping times.  Off by one particle in the
+    accepted set, the estimate is off by about log 2."""
+
+    @pytest.mark.parametrize("n_particles", [2, 5, 20])
+    def test_estimate_is_the_marginal_to_rounding(self, n_particles):
+        for seed in range(1, 11):
+            params, model, observations = toy_discrete_instance(seed, steps=8)
+            twist = acceptance_prob_twist(params, observations, lag=observations.size)
+            truth = discrete_abc_log_marginal(params, observations)
+            kernel = DiscreteBallKernel(params.acceptance)
+            for rep in range(3):
+                _, estimate = alive_twisted_filter(model, kernel, twist, observations,
+                                                   n_particles, stream=stream_for(295 + seed, rep))
+                assert abs(estimate.log_total - truth) <= 1e-12, (seed, rep)
 
 
 class TestLookaheadTable:
