@@ -1,10 +1,12 @@
 """Accept/reject comparison kernels for simulated pseudo-observations.
 
 A kernel maps a batch of simulated observations and one recorded observation
-to binary weights: 1 when the simulation landed close enough to count, else
-0.  Anything exposing ``weights(simulated, observed) -> 0/1 int array`` plugs
-into the alive filters, which lets the finite-alphabet oracle models use
-exact acceptance tables through the same interface.
+to a boolean acceptance mask: True when the simulation landed close enough to
+count.  Anything exposing ``weights(simulated, observed)`` that returns such
+a mask plugs into the alive filters, which lets the finite-alphabet oracle
+models use exact acceptance tables through the same interface.  A kernel
+returning 0/1 integers works too: the engine reads only which positions are
+nonzero.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class AbcKernel:
             raise ValueError(f"relative_floor must be positive and finite, got {self.relative_floor}")
 
     def weights(self, simulated, observed: float) -> np.ndarray:
-        """Binary acceptance weights for a batch of simulated observations."""
+        """The boolean acceptance mask of a batch of simulated observations."""
         lo, hi = self.interval(observed)
         simulated = np.asarray(simulated, dtype=float)
-        return ((simulated >= lo) & (simulated <= hi)).astype(np.int64)
+        return (simulated >= lo) & (simulated <= hi)
 
     def interval(self, observed: float) -> tuple:
         """The closed acceptance interval [lo, hi] around ``observed``.
@@ -90,4 +92,4 @@ class DiscreteBallKernel:
 
     def weights(self, simulated, observed) -> np.ndarray:
         simulated = np.asarray(simulated, dtype=np.int64)
-        return self.acceptance[int(observed), simulated].astype(np.int64)
+        return self.acceptance[int(observed), simulated]

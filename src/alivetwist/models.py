@@ -198,7 +198,10 @@ def _ar1_samplers(phi: float, nu2: float):
 
     def transition_sampler(k, stream):
         k = np.asarray(k, dtype=float)
-        return phi * k + sd * stream.standard_normal(k.shape)
+        z = stream.standard_normal(k.shape)
+        z *= sd
+        z += phi * k
+        return z
 
     return init_state_sampler, transition_sampler
 
@@ -210,7 +213,10 @@ def lg_model(params: LinearGaussianParams) -> HmmModel:
 
     def observation_sampler(k, stream):
         k = np.asarray(k, dtype=float)
-        return k + obs_sd * stream.standard_normal(k.shape)
+        z = stream.standard_normal(k.shape)
+        z *= obs_sd
+        z += k
+        return z
 
     def log_observation_density(y, k):
         return norm_logpdf(y, np.asarray(k, dtype=float), tau2)
@@ -324,11 +330,12 @@ def kalman_log_marginal(params: LinearGaussianParams, observations) -> float:
     phi, nu2, tau2 = params.phi, params.nu2, params.tau2
     mean, var = 0.0, phi * phi * nu2 + nu2
     loglik = 0.0
-    for y in np.asarray(observations, dtype=float):
+    for y in np.asarray(observations, dtype=float).tolist():
         innov_var = var + tau2
-        loglik += float(norm_logpdf(y, mean, innov_var))
+        d = y - mean
+        loglik += -0.5 * (_LOG_TWO_PI + math.log(innov_var) + d * d / innov_var)
         gain = var / innov_var
-        mean_f = mean + gain * (y - mean)
+        mean_f = mean + gain * d
         var_f = (1.0 - gain) * var
         mean = phi * mean_f
         var = phi * phi * var_f + nu2

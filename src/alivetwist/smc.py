@@ -21,6 +21,9 @@ simulated past the stopping position and discarded than the batch it saves.
 Sizes depend only on proposals already drawn and every batch is generated in
 full before truncating at the stopping position, so the pool is the prefix of
 an iid proposal sequence up to the target-th acceptance whatever the schedule.
+The kernel scores each batch once; the stop is read off the positions of the
+batch's nonzero weights, and the batch's pseudo-observations are dropped
+once scored, since no filter reads them.
 Output is bit-for-bit reproducible for a given seed and schedule.  A
 different schedule hands each proposal different draws from the stream (a
 proposer that reads the stream takes its draws batch by batch), which
@@ -65,7 +68,7 @@ DEFAULT_TRIAL_CAP = 1_000_000
 _MAX_BATCH = 1 << 18
 _TOP_UP_MARGIN = 1.2
 # proposals a batch may draw past the step's known need; one batch's fixed
-# cost (propose, weights, cumsum) is 350-600 proposals' worth on both models
+# cost (propose, weights, stop search) is 350-600 proposals' worth on both models
 _SPECULATION = 256
 # noise draws per block for a model with the noise hook; on the volatility
 # chain 1024 beat 256 and 4096
@@ -112,8 +115,9 @@ class ParticleDeathError(RuntimeError):
 class ParticleGeneration:
     """One step's pool from an accept/reject filter.
 
-    states and weights both have length ``stopping_time``; weights are
-    binary with the final entry 1.  When a twisted variant produced this
+    states and weights both have length ``stopping_time``; weights are the
+    kernel's acceptance mask (1-byte booleans for the shipped kernels) with
+    the final entry accepted.  When a twisted variant produced this
     generation, its guided particle is the first entry and the two log sums
     record that step's guidance diagnostics.
     """
@@ -219,8 +223,12 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
     """Propose until ``target`` particles are accepted; return (pool, T).
 
     ``propose(stream, count)`` returns a dict of equal-length arrays that must
-    include 'pseudo_obs'; the returned pool contains the same keys truncated
-    at the stopping position plus binary 'weights'.  ``batch_hint`` sizes
+    include 'pseudo_obs'.  ``kernel.weights`` scores those once per batch and
+    they are then dropped: the returned pool holds the proposer's other keys
+    plus 'weights' (the kernel's output, a boolean mask for the shipped
+    kernels), truncated at the stopping position.  The stop is the position
+    of the target-th nonzero weight, counted over each batch's nonzero
+    positions (one ``np.flatnonzero`` per batch).  ``batch_hint`` sizes
     the first batch (at least ``target``; without one, max(2 target, 64));
     a top-up is 1.2 times the need the acceptance rate so far predicts.  No
     batch goes more than ``_SPECULATION`` past the known need (``target`` for
@@ -242,11 +250,10 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
         if size <= 0:
             raise StoppingTimeCapError(step, drawn, accepted, target, cap)
         batch = propose(stream, size)
-        weights = kernel.weights(batch["pseudo_obs"], observed)
-        batch["weights"] = weights
-        cumulative = accepted + np.cumsum(weights)
-        if int(cumulative[-1]) >= target:
-            stop = int(np.searchsorted(cumulative, target, side="left")) + 1
+        batch["weights"] = kernel.weights(batch.pop("pseudo_obs"), observed)
+        hits = np.flatnonzero(batch["weights"])
+        if accepted + hits.size >= target:
+            stop = int(hits[target - accepted - 1]) + 1
             if not chunks:  # common case: the first batch already covers the target
                 return {name: values[:stop] for name, values in batch.items()}, stop
             chunks.append(batch)
@@ -257,7 +264,7 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             return pool, drawn + stop
         chunks.append(batch)
         drawn += size
-        accepted = int(cumulative[-1])
+        accepted += hits.size
         # top up by the acceptance rate seen so far, with a 20% margin so one
         # more batch usually suffices; double while there is no rate yet
         if accepted:

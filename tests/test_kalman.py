@@ -1,5 +1,7 @@
 """Exact linear-Gaussian marginal likelihood against a joint-density oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -60,3 +62,31 @@ def test_single_observation_closed_form():
 def test_empty_block_is_identity():
     params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
     assert kalman_log_marginal(params, []) == 0.0
+
+
+def numpy_kalman_log_marginal(params: LinearGaussianParams, observations) -> float:
+    """The same Kalman recursion with each step scored by numpy arithmetic:
+    the innovation is a 0-d array, squared by ``**``."""
+    phi, nu2, tau2 = params.phi, params.nu2, params.tau2
+    mean, var = 0.0, phi * phi * nu2 + nu2
+    loglik = 0.0
+    for y in np.asarray(observations, dtype=float):
+        innov_var = var + tau2
+        loglik += float(-0.5 * (float(np.log(2.0 * np.pi)) + math.log(innov_var)
+                                + (np.asarray(y) - mean) ** 2 / innov_var))
+        gain = var / innov_var
+        mean = phi * (mean + gain * (y - mean))
+        var = phi * phi * ((1.0 - gain) * var) + nu2
+    return loglik
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.9, 1.0, 1.5])
+@pytest.mark.parametrize("steps", [1, 50, 500])
+def test_scalar_recursion_is_bit_identical_to_numpy(phi, steps):
+    scales = np.logspace(-6, 6, 5)
+    for i, nu2 in enumerate(scales):
+        for j, tau2 in enumerate(scales):
+            params = LinearGaussianParams(phi=phi, nu2=float(nu2), tau2=float(tau2))
+            _, observations = simulate(lg_model(params), steps, stream_for(310 + 5 * i + j))
+            assert kalman_log_marginal(params, observations) == numpy_kalman_log_marginal(
+                params, observations)

@@ -117,6 +117,25 @@ class TestAbcKernelInterval:
         np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
 
 
+class TestWeightsAreBooleanMasks:
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    @pytest.mark.parametrize("observed", [1.7, -20.0, 0.0])
+    def test_abc_weights_are_the_interval_mask(self, mode, observed):
+        kernel = AbcKernel(epsilon=0.3, mode=mode)
+        lo, hi = kernel.interval(observed)
+        simulated = np.array([math.nextafter(lo, -math.inf), lo, hi, math.nextafter(hi, math.inf)])
+        got = kernel.weights(simulated, observed)
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, (lo <= simulated) & (simulated <= hi))
+        np.testing.assert_array_equal(got, [False, True, True, False])
+
+    def test_discrete_weights_are_bool(self):
+        kernel = DiscreteBallKernel(np.array([[1, 0], [1, 1]], dtype=bool))
+        got = kernel.weights(np.array([0, 1, 1, 0]), 0)
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, [True, False, False, True])
+
+
 class TestDiscreteBallKernel:
     def test_requires_square_table(self):
         with pytest.raises(ValueError):

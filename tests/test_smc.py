@@ -195,7 +195,7 @@ class TestSampleUntilAlive:
                     reference = (pool, stop)
                 else:
                     assert stop == reference[1]
-                    for name in ("pseudo_obs", "weights", "tag"):
+                    for name in ("weights", "tag"):
                         np.testing.assert_array_equal(pool[name], reference[0][name])
 
     def test_cap_exhaustion_raises_with_counts(self):
@@ -275,6 +275,85 @@ class TestSampleUntilAlive:
         step tops up; the law of T must not move."""
         rate, target = 0.3, 400
         self._assert_negative_binomial(self._stops(rate, target, 10_000, 222), target, rate)
+
+
+class BoolKernel:
+    """Accepts the nonzero pseudo-observations, as a boolean mask."""
+
+    def weights(self, simulated, observed):
+        return np.asarray(simulated) != 0
+
+
+def cumsum_reference(pattern, target, cap):
+    """(stop, accepted) for the first ``cap`` entries of a 0/1 ``pattern``
+    (rejections past its end): the stop is the 1-based position where the
+    running sum first reaches ``target``, None if it never does."""
+    weights = np.zeros(cap, dtype=np.int64)
+    head = np.asarray(pattern, dtype=np.int64)[:cap]
+    weights[: head.size] = head
+    cumulative = np.cumsum(weights)
+    if cumulative[-1] < target:
+        return None, int(cumulative[-1])
+    return int(np.searchsorted(cumulative, target, side="left")) + 1, target
+
+
+class TestStopAgainstCumsumReference:
+    """The pool and stop of sample_until_alive against a cumsum + searchsorted
+    reference, on scripted 0/1 patterns scored by an int64 and a bool kernel."""
+
+    @staticmethod
+    def _hits(positions, length=200):
+        pattern = np.zeros(length, dtype=np.int64)
+        pattern[list(positions)] = 1
+        return pattern
+
+    @pytest.mark.parametrize("kernel, dtype", [(BinaryKernel(), np.int64), (BoolKernel(), np.bool_)])
+    @pytest.mark.parametrize("hits, target, hint, where", [
+        ((0,), 1, None, "first"),  # first position of the first batch
+        ((0, 5, 10), 3, 10, "first"),  # first position of the top-up
+        ((0, 5, 9), 3, 10, "last"),  # last position of the first batch
+        ((0, 5, 15), 3, 10, "last"),  # last position of the top-up
+        ((3, 20, 50, 90), 4, 4, "spread"),  # acceptances in three of four batches
+    ])
+    def test_pool_and_stop_match(self, kernel, dtype, hits, target, hint, where):
+        pattern = self._hits(hits)
+        scripted = scripted_proposer(pattern)
+
+        def propose(stream, count):
+            batch = scripted(stream, count)
+            batch["states"] = -0.5 * batch["tag"]
+            return batch
+
+        pool, stop = sample_until_alive(propose, kernel, 0, target, 10_000, stream_for(0),
+                                        batch_hint=hint)
+        want, _ = cumsum_reference(pattern, target, 10_000)
+        assert stop == want
+        assert set(pool) == {"states", "tag", "weights"}  # no pseudo_obs
+        assert pool["weights"].dtype == dtype
+        np.testing.assert_array_equal(pool["weights"], pattern[:stop])
+        np.testing.assert_array_equal(pool["tag"], np.arange(stop))
+        np.testing.assert_array_equal(pool["states"], -0.5 * np.arange(stop))
+
+        ends = np.cumsum(scripted.sizes)
+        if where == "first":
+            assert stop - 1 == (ends[-2] if ends.size > 1 else 0)
+        elif where == "last":
+            assert stop == ends[-1]
+        else:
+            batch_of_hit = np.searchsorted(ends, np.flatnonzero(pattern[:stop]), side="right")
+            assert np.unique(batch_of_hit).size >= 3
+
+    @pytest.mark.parametrize("kernel", [BinaryKernel(), BoolKernel()])
+    @pytest.mark.parametrize("hits", [(), (1, 7), (39,)])
+    def test_exhaustion_counts_match(self, kernel, hits):
+        pattern = self._hits(hits)
+        want_stop, want_accepted = cumsum_reference(pattern, 3, 40)
+        assert want_stop is None
+        with pytest.raises(StoppingTimeCapError) as info:
+            sample_until_alive(scripted_proposer(pattern), kernel, 0, 3, 40, stream_for(0),
+                               batch_hint=5)
+        assert info.value.drawn == 40
+        assert info.value.accepted == want_accepted
 
 
 class TestAliveFilter:

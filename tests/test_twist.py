@@ -62,12 +62,13 @@ def _rejection_pairs(twist, model, anchor, window, kernel, stream, draws):
 
     def propose(stream, count):
         states = twist.propose_guided_states(anchor, window, stream, count)
-        return {"states": states, "pseudo_obs": model.observation_sampler(states, stream)}
+        pseudo_obs = model.observation_sampler(states, stream)
+        return {"states": states, "pseudo_obs": pseudo_obs, "simulated": pseudo_obs}
 
     pairs = [sample_until_alive(propose, kernel, window[0], 1, 10**6, stream)[0]
              for _ in range(draws)]
     return (np.array([pool["states"][-1] for pool in pairs]),
-            np.array([pool["pseudo_obs"][-1] for pool in pairs]))
+            np.array([pool["simulated"][-1] for pool in pairs]))
 
 
 class TestValidationAndTruncation:
