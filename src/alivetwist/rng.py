@@ -87,7 +87,13 @@ def categorical_many(stream: np.random.Generator, weights, size: int) -> np.ndar
 
     The uniforms are searched in sorted order, which walks the cdf once (about
     twice as fast at 2000 weights), then scattered back to draw order, so the
-    indices equal those of an unsorted search of the same uniforms.
+    indices equal those of an unsorted search of the same uniforms.  Draw
+    order is kept for the callers that read it: the finite-state initial
+    sampler, whose draws feed alive proposals (the stopping time is a
+    position in that sequence), the table twist's guided candidates (the
+    first accepted one is the guided pair) and the selftest's prior draw.
+    The bootstrap filters, whose readers ignore order, resample through the
+    sorted ``smc._resample`` instead.
     Raises ValueError unless ``weights`` is a nonempty 1-d array of
     nonnegative entries with a positive, finite total; the total is the
     cdf's last entry, so NaN, +inf and a sum that overflows all fail it.

@@ -42,6 +42,11 @@ less than the buffer's bookkeeping.
 
 A standard multinomial bootstrap filter over an explicit observation density
 is included as the baseline the accept/reject filters are compared against.
+It resamples with :func:`_resample`, which returns the multinomial ancestors
+sorted (one sort of the uniforms and one cdf search, no scatter back to draw
+order): every reader of a bootstrap pool (resampling by weight, the twisted
+variant's qh-weighted guided pick, the factor's sums) is symmetric in
+particle order, so the order changes no law.
 
 Every plain alive factor (N - 1) / (T - 1) is at most 1, so the running log
 estimate only falls.  A caller that rejects whenever the final log estimate
@@ -60,8 +65,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-
-from .rng import categorical_many
 
 DEFAULT_TRIAL_CAP = 1_000_000
 
@@ -131,8 +134,13 @@ class ParticleGeneration:
 
 @dataclass(slots=True)
 class BootstrapGeneration:
-    """One step's pool from a density-weighted filter (a twisted one puts
-    its guided particle first)."""
+    """One step's pool from a density-weighted filter.
+
+    After the first step the particles come grouped by ancestor, in
+    ancestor order (:func:`_resample` sorts the ancestors); a twisted pool
+    puts its guided particle first and groups the rest.  No reader depends
+    on that order.
+    """
 
     states: np.ndarray
     log_weights: np.ndarray
@@ -162,15 +170,37 @@ def _logsumexp1d(values: np.ndarray) -> float:
 
 
 def _pool_weights(log_weights: np.ndarray, step: int):
-    """(exp(log_weights - max), log-sum-exp) of one bootstrap pool from one exp
-    pass: the next step's resampling weights and this step's factor input.
-    Raises ParticleDeathError(step) unless the largest log weight is finite:
-    every weight zero, a NaN or a +inf."""
+    """(cumsum(exp(log_weights - max)), log-sum-exp) of one bootstrap pool
+    from one exp pass and one cumsum: the next step's resampling cdf for
+    :func:`_resample` and this step's factor input, read off the cdf's last
+    entry.  Raises ParticleDeathError(step) unless the largest log weight is
+    finite: every weight zero, a NaN or a +inf.  Past that check the weights
+    are nonnegative with a largest entry of 1, so the cdf needs no other
+    validation."""
     shift = float(log_weights.max())
     if not math.isfinite(shift):
         raise ParticleDeathError(step)
-    probs = np.exp(log_weights - shift)
-    return probs, shift + math.log(float(probs.sum()))
+    cdf = np.exp(log_weights - shift)
+    np.cumsum(cdf, out=cdf)
+    return cdf, shift + math.log(float(cdf[-1]))
+
+
+def _resample(stream: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` iid multinomial indices over the pool cdf that
+    :func:`_pool_weights` returns, in nondecreasing order.
+
+    The uniforms are sorted in place, scaled by the total and searched in
+    one ``searchsorted`` pass; an index past the end (a uniform that rounds
+    onto the total) is clamped to the last particle.  Scaling by a positive
+    total keeps order, so the result is ``np.sort(categorical_many(stream,
+    weights, size))`` from the same stream: the multinomial multiset without
+    its draw order, for callers whose readers ignore particle order.
+    """
+    u = stream.random(size)
+    u.sort()
+    u *= cdf[-1]
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, cdf.size - 1, out=idx)
 
 
 def checked_observations(observations, dtype=None) -> np.ndarray:
@@ -228,7 +258,7 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
     plus 'weights' (the kernel's output, a boolean mask for the shipped
     kernels), truncated at the stopping position.  The stop is the position
     of the target-th nonzero weight, counted over each batch's nonzero
-    positions (one ``np.flatnonzero`` per batch).  ``batch_hint`` sizes
+    positions (one ``.nonzero()`` per batch).  ``batch_hint`` sizes
     the first batch (at least ``target``; without one, max(2 target, 64));
     a top-up is 1.2 times the need the acceptance rate so far predicts.  No
     batch goes more than ``_SPECULATION`` past the known need (``target`` for
@@ -251,7 +281,7 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
             raise StoppingTimeCapError(step, drawn, accepted, target, cap)
         batch = propose(stream, size)
         batch["weights"] = kernel.weights(batch.pop("pseudo_obs"), observed)
-        hits = np.flatnonzero(batch["weights"])
+        hits = batch["weights"].nonzero()[0]
         if accepted + hits.size >= target:
             stop = int(hits[target - accepted - 1]) + 1
             if not chunks:  # common case: the first batch already covers the target
@@ -408,10 +438,10 @@ def bootstrap_filter(model, observations, n_particles: int,
         if prev is None:
             k = model.transition_sampler(model.init_state_sampler(stream, n_particles), stream)
         else:
-            ancestors = categorical_many(stream, probs, n_particles)
+            ancestors = _resample(stream, cdf, n_particles)
             k = model.transition_sampler(prev.states[ancestors], stream)
         log_weights = np.asarray(model.log_observation_density(y, k), dtype=float)
-        probs, total = _pool_weights(log_weights, t)
+        cdf, total = _pool_weights(log_weights, t)
         generation = BootstrapGeneration(states=k, log_weights=log_weights)
         generations.append(generation)
         log_factors.append(total - np.log(n_particles))

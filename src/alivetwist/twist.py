@@ -94,6 +94,7 @@ from .smc import (
     StoppingTimeCapError,
     _logsumexp1d,
     _pool_weights,
+    _resample,
     alive_proposer,
     checked_observations,
     pseudo_observer,
@@ -475,13 +476,13 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             guided = twist.propose_guided_states(
                 prev.states[guided_ancestor], y_window, stream, 1
             )
-            other_ancestors = categorical_many(stream, probs, n_particles - 1)
+            other_ancestors = _resample(stream, cdf, n_particles - 1)
             others = model.transition_sampler(prev.states[other_ancestors], stream)
             # the previous pool's log-weight total is exactly last step's factor input
             log_qh_sum = log_scores_sum - prev_total
         states = np.concatenate((guided, others))
         log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
-        probs, total = _pool_weights(log_weights, t)
+        cdf, total = _pool_weights(log_weights, t)
         log_wh_sum = _logsumexp1d(twist.log_h(y_window, states)) - math.log(n_particles)
         prev_total = total
         generation = BootstrapGeneration(

@@ -126,11 +126,11 @@ class TestSimulate:
         assert "alivetwist: error:" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path, lg_config):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             assert cli.main(["simulate", "--config", lg_config, "--steps", "8",
-                             "--seed", "7", "--out", out]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+                             "--seed", "7", "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestFilter:
@@ -306,13 +306,13 @@ class TestVarianceGrid:
 
     def test_worker_fanout_is_byte_identical(self, tmp_path):
         config = self._config(tmp_path)
-        serial = str(tmp_path / "serial.csv")
-        pooled = str(tmp_path / "pooled.csv")
+        serial = tmp_path / "serial.csv"
+        pooled = tmp_path / "pooled.csv"
         assert cli.main(["variance-grid", "--config", config, "--seed", "9",
-                         "--out", serial]) == 0
+                         "--out", str(serial)]) == 0
         assert cli.main(["variance-grid", "--config", config, "--seed", "9",
-                         "--workers", "2", "--out", pooled]) == 0
-        assert open(serial, "rb").read() == open(pooled, "rb").read()
+                         "--workers", "2", "--out", str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_bad_worker_count_exits_1(self, tmp_path, capsys):
         assert cli.main(["variance-grid", "--config", self._config(tmp_path),

@@ -14,7 +14,7 @@ from alivetwist.rng import (
     gaussian,
     log_categorical,
 )
-from alivetwist.smc import _logsumexp1d
+from alivetwist.smc import _logsumexp1d, _pool_weights, _resample
 
 from helpers import stream_for
 
@@ -170,6 +170,15 @@ class TestCategorical:
             assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)
 
 
+WEIGHT_PATTERNS = [
+    [0.0, 0.0, 1.0, 2.0, 3.0],  # zeros at the start
+    [1.0, 0.0, 0.0, 2.0, 0.5],  # zeros in the middle
+    [2.0, 1.0, 3.0, 0.0, 0.0],  # zeros at the end
+    [1.0, 1.0, 0.25, 1.0, 1.0, 0.25],  # ties
+    list(np.random.default_rng(7).exponential(size=2000)),
+]
+
+
 class TestCategoricalMany:
     def test_empty_draw(self):
         out = categorical_many(derive_stream(SeedSpec(10, 0)), [1.0, 1.0], 0)
@@ -180,13 +189,7 @@ class TestCategoricalMany:
             categorical_many(derive_stream(SeedSpec(10, 0)), [1.0], -1)
 
     @pytest.mark.parametrize("size", [0, 1, 7, 2000])
-    @pytest.mark.parametrize("weights", [
-        [0.0, 0.0, 1.0, 2.0, 3.0],  # zeros at the start
-        [1.0, 0.0, 0.0, 2.0, 0.5],  # zeros in the middle
-        [2.0, 1.0, 3.0, 0.0, 0.0],  # zeros at the end
-        [1.0, 1.0, 0.25, 1.0, 1.0, 0.25],  # ties
-        list(np.random.default_rng(7).exponential(size=2000)),
-    ])
+    @pytest.mark.parametrize("weights", WEIGHT_PATTERNS)
     def test_equals_unsorted_search(self, weights, size):
         """Searching the uniforms in sorted order gives exactly the indices a
         search in draw order gives, from the same stream."""
@@ -221,3 +224,49 @@ class TestCategoricalMany:
         if size:
             assert draws.min() >= 0
             assert draws.max() < len(weights)
+
+
+class TestResample:
+    """``smc._resample``, the bootstrap filters' sorted multinomial draw."""
+
+    @pytest.mark.parametrize("weights", WEIGHT_PATTERNS)
+    def test_equals_sorted_categorical_many(self, weights):
+        """The same indices as ``categorical_many`` from the same stream, sorted."""
+        weights = np.asarray(weights)
+        for size in (0, 1, weights.size):
+            got = _resample(derive_stream(SeedSpec(12, size)), np.cumsum(weights), size)
+            want = np.sort(categorical_many(derive_stream(SeedSpec(12, size)), weights, size))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, 1e3]), min_size=1, max_size=8)
+        .filter(lambda w: max(w) > 0),
+        size=st.integers(0, 64),
+        seed=st.integers(0, 2**32),
+    )
+    def test_sorted_int64_and_in_range(self, weights, size, seed):
+        draws = _resample(derive_stream(SeedSpec(seed, 0)), np.cumsum(weights), size)
+        assert draws.dtype == np.int64 and draws.shape == (size,)
+        assert np.all(np.diff(draws) >= 0)
+        if size:
+            assert draws.min() >= 0
+            assert draws.max() < len(weights)
+
+    def test_matches_weights(self):
+        weights = np.array([0.5, 0.25, 0.125, 0.125])
+        draws = _resample(derive_stream(SeedSpec(12, 1)), np.cumsum(8 * weights), 40_000)
+        for index, p in enumerate(weights):
+            observed = (draws == index).mean()
+            se = np.sqrt(p * (1 - p) / draws.size)
+            assert abs(observed - p) < 4 * se
+
+    def test_pool_weights_are_the_shifted_cdf_and_its_log_total(self):
+        """``_pool_weights`` hands ``_resample`` the cdf of exp(log_weights -
+        max) and reads the log-sum-exp off its last entry."""
+        log_weights = 30.0 * stream_for(252).standard_normal(2000)
+        log_weights[::7] = -np.inf
+        cdf, log_total = _pool_weights(log_weights, 0)
+        np.testing.assert_array_equal(cdf, np.cumsum(np.exp(log_weights - log_weights.max())))
+        assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)

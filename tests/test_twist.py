@@ -502,6 +502,32 @@ class TestDiscreteTableTwist:
             observed = (draws == state).mean()
             assert abs(observed - p) < 4 * np.sqrt(p * (1 - p) / draws.size)
 
+    def test_draw_order_callers_keep_draw_order(self):
+        """The guided candidates (the first accepted one is the guided pair)
+        and the finite-state initial sampler (the stopping time is a position
+        in the proposal sequence) equal an unsorted search of the same
+        uniforms, not the bootstrap filters' sorted resample."""
+        params = self._params()
+        table = stream_for(252).normal(size=(2, 3))
+        twist = DiscreteTableTwist(table, params)
+        size = 64
+
+        def unsorted_search(weights, stream):
+            cdf = np.cumsum(weights)
+            u = stream.random(size) * cdf[-1]
+            return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+        want = unsorted_search(params.transition[1] * np.exp(table[0]), stream_for(254))
+        assert np.any(np.diff(want) < 0)  # draw order is not sorted order here
+        np.testing.assert_array_equal(
+            twist.propose_guided_states(1, np.arange(2), stream_for(254), size), want
+        )
+        want = unsorted_search(params.initial, stream_for(255))
+        assert np.any(np.diff(want) < 0)
+        np.testing.assert_array_equal(
+            discrete_model(params).init_state_sampler(stream_for(255), size), want
+        )
+
     def test_guided_pair_exact_frequencies(self):
         """Rejection-drawn guided pairs against the exact lattice law."""
         params = self._params()
