@@ -39,15 +39,10 @@ class ScriptedStream:
     left empty.
     """
 
-    def __init__(self, *, integers=(), normals=(), uniforms=(), exponentials=()):
-        self._integers = list(integers)
+    def __init__(self, *, normals=(), uniforms=(), exponentials=()):
         self._normals = list(normals)
         self._uniforms = list(uniforms)
         self._exponentials = list(exponentials)
-
-    def integers(self, low, high=None, size=None):
-        assert size is None, "hand traces only script scalar integer draws"
-        return int(self._integers.pop(0))
 
     def standard_normal(self, size=None):
         if size is None:
@@ -71,7 +66,7 @@ class ScriptedStream:
 
     def exhausted(self) -> bool:
         """True when every scripted queue has been fully consumed."""
-        return not (self._integers or self._normals or self._uniforms or self._exponentials)
+        return not (self._normals or self._uniforms or self._exponentials)
 
 
 def validate_generation(generation, target: int) -> None:

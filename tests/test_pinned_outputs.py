@@ -36,6 +36,22 @@ record (``simulate(lg_model, 50, SeedSpec(77, 0))``, N 200, lag 5, 2000 runs a
 side), gave D 0.024, p 0.61 (bootstrap) and D 0.028, p 0.44
 (twisted-bootstrap).  Every alive, alive-twisted, volatility and finite-state
 pin, and both simulated records, stayed bit-identical.
+
+The seven alive and alive-twisted pins (linear-Gaussian at seeds 901 and 902,
+the volatility and finite-state alive-twisted pins, the short volatility
+chain) were re-recorded when ``smc.alive_proposer`` began to pick each plain
+proposal's ancestor as floor(n U) from one ``stream.random`` uniform instead
+of ``stream.integers``, which hands each proposal a different ancestor but
+keeps the uniform law.  Two-sample KS tests on log Ẑ, before against after on
+independent streams, gave D 0.019, p 0.84 (alive) and D 0.031, p 0.29
+(alive-twisted) on ``simulate(lg_model, 50, SeedSpec(77, 0))`` (N 200,
+epsilon 1.5 relative, floor 0.1, lag 5, 2000 runs a side); D 0.025, p 0.91
+(alive) and D 0.035, p 0.57 (alive-twisted, lag 5) on
+``synthetic_sv_record(1, 200)`` at the parameters above (N 50, epsilon 3.5
+relative, 1000 runs a side); and D 0.020, p 0.82 for alive-twisted on
+``toy_discrete_instance(904, steps=8)`` (acceptance-probability twist, lag 2,
+N 15, 2000 runs a side).  The bootstrap and twisted-bootstrap pins and both
+simulated records stayed bit-identical.
 """
 
 import hashlib
@@ -95,14 +111,14 @@ def _lg_log_total(algo: str, seed: int) -> float:
 
 
 LG_PINNED = {
-    ("alive", 901): -22.496102484731576,
-    ("alive", 902): -21.09718436858117,
+    ("alive", 901): -22.992807447366097,
+    ("alive", 902): -20.183315794187376,
     ("bootstrap", 901): -38.28312005807703,
     ("bootstrap", 902): -38.66914012578006,
     ("twisted-bootstrap", 901): -39.83441910411111,
     ("twisted-bootstrap", 902): -39.426253152406645,
-    ("alive-twisted", 901): -22.20004825912124,
-    ("alive-twisted", 902): -20.587972739014905,
+    ("alive-twisted", 901): -21.899612795432652,
+    ("alive-twisted", 902): -20.285962729117085,
 }
 
 
@@ -117,7 +133,7 @@ def test_alive_twisted_on_a_volatility_record():
         sv_model(SV_PARAMS), AbcKernel(epsilon=3.5, mode="relative"), sv_twist(SV_PARAMS, 5),
         observations, 20, stream=stream_for(903, 1),
     )
-    assert estimate.log_total == pytest.approx(-7.615092906824926, abs=1e-12)
+    assert estimate.log_total == pytest.approx(-7.590979610976891, abs=1e-12)
 
 
 def test_alive_twisted_on_discrete_data():
@@ -126,7 +142,7 @@ def test_alive_twisted_on_discrete_data():
         model, DiscreteBallKernel(params.acceptance), acceptance_prob_twist(params, observations, 2),
         observations, 15, stream=stream_for(904, 1),
     )
-    assert estimate.log_total == pytest.approx(-0.9559922722336642, abs=1e-12)
+    assert estimate.log_total == pytest.approx(-0.9714568701355968, abs=1e-12)
 
 
 def test_short_volatility_chain():
@@ -135,16 +151,16 @@ def test_short_volatility_chain():
         beta=0.05, delta=0.0, burn_in_fraction=0.0, acf_max_lag=1, mode="relative",
     )
     record = run_sv_pmmh(synthetic_sv_record(905, 30), config, "alive-twisted", 905)
-    np.testing.assert_array_equal(record.accepted, [1, 0, 0, 1, 0, 1, 1])
+    np.testing.assert_array_equal(record.accepted, [1, 0, 1, 0, 1, 0, 0])
     np.testing.assert_allclose(
         record.log_zhats,
-        [-17.893633698424452, -17.893633698424452, -17.893633698424452, -7.711113430366165,
-         -7.711113430366165, -2.9363740418487643, -2.1062971584868424],
+        [-17.893675426828867, -17.893675426828867, -7.3004328817926005, -7.3004328817926005,
+         -0.652572028514403, -0.652572028514403, -0.652572028514403],
         rtol=0, atol=1e-12,
     )
     np.testing.assert_allclose(
         record.theta_field("F"),
-        [-0.006859454661525069, -0.006859454661525069, -0.006859454661525069,
-         -0.15968155663721845, -0.15968155663721845, 0.23724395041810875, -0.7492321790838734],
+        [-0.006859454661525069, -0.006859454661525069, 0.15131776194256083,
+         0.15131776194256083, 0.4423891697744212, 0.4423891697744212, 0.4423891697744212],
         rtol=0, atol=1e-12,
     )

@@ -191,8 +191,8 @@ class TestCategoricalMany:
     @pytest.mark.parametrize("size", [0, 1, 7, 2000])
     @pytest.mark.parametrize("weights", WEIGHT_PATTERNS)
     def test_equals_unsorted_search(self, weights, size):
-        """Searching the uniforms in sorted order gives exactly the indices a
-        search in draw order gives, from the same stream."""
+        """The indices are those of one search of the scaled uniforms in draw
+        order, from the same stream."""
         weights = np.asarray(weights)
         cdf = np.cumsum(weights)
         stream = derive_stream(SeedSpec(11, size))

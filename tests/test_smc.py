@@ -30,9 +30,22 @@ from alivetwist import (
 from alivetwist.configs import FILTERS
 from alivetwist.models import HmmModel
 from alivetwist.selftest import synthetic_sv_record
-from alivetwist.smc import _MAX_BATCH, _SPECULATION, NOISE_BLOCK, _floor_cap, pseudo_observer
+from alivetwist.smc import (
+    _MAX_BATCH,
+    _SPECULATION,
+    NOISE_BLOCK,
+    _floor_cap,
+    alive_proposer,
+    pseudo_observer,
+)
 
-from helpers import lg_abc_grid_log_marginal, monte_carlo_z, stream_for, validate_generation
+from helpers import (
+    ScriptedStream,
+    lg_abc_grid_log_marginal,
+    monte_carlo_z,
+    stream_for,
+    validate_generation,
+)
 
 
 class BinaryKernel:
@@ -652,6 +665,52 @@ class TestPseudoObserver:
         else:
             run = lambda s: alive_filter(model, kernel, observations, 20, stream=s)
         assert (run(stream_for(243))[1].log_factors == run(stream_for(243))[1].log_factors)
+
+
+class _LoggedStream(ScriptedStream):
+    """A ScriptedStream that also records which kind of draw came when."""
+
+    def __init__(self, **queues):
+        super().__init__(**queues)
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append("random")
+        return super().random(size)
+
+    def standard_normal(self, size=None):
+        self.calls.append("standard_normal")
+        return super().standard_normal(size)
+
+
+class TestAliveProposer:
+    """The plain proposal: ancestor pick, transition, pseudo-observation."""
+
+    def test_hand_traced_batch(self):
+        """Ancestors are floor(n U): the largest uniform below 1 picks index
+        n - 1, and draws come as pick, transition, observation."""
+        model = lg_model(LinearGaussianParams(phi=0.5, nu2=4.0, tau2=1.0))
+        accepted = np.array([10.0, 20.0, 30.0])
+        stream = _LoggedStream(
+            uniforms=[0.0, 0.5, np.nextafter(1.0, 0.0), 0.34],  # picks 0, 1, 2, 1
+            normals=[1.0, -1.0, 0.5, 0.0] + [0.25, 0.0, -1.0, 2.0],  # transition, then observation
+        )
+        batch = alive_proposer(model, pseudo_observer(model), accepted)(stream, 4)
+        # state = 0.5 * ancestor + 2 * z; observation = state + z'
+        np.testing.assert_array_equal(batch["states"], [7.0, 8.0, 16.0, 10.0])
+        np.testing.assert_array_equal(batch["pseudo_obs"], [7.25, 8.0, 15.0, 12.0])
+        assert stream.calls == ["random", "standard_normal", "standard_normal"]
+        assert stream.exhausted()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 199, 1999])
+    def test_picks_are_uniform(self, n):
+        """Chi-square goodness of fit of 10^5 picks among n accepted states."""
+        identity = HmmModel(None, lambda k, stream: k, None)
+        propose = alive_proposer(identity, lambda states, stream: states, np.arange(n, dtype=float))
+        picks = propose(stream_for(250, n), 100_000)["states"].astype(np.int64)
+        assert 0 <= picks.min() and picks.max() < n
+        counts = np.bincount(picks, minlength=n)
+        assert stats.chisquare(counts).pvalue > 1e-3
 
 
 class _RecordingKernel:
