@@ -179,9 +179,10 @@ def _cmd_variance_grid(args) -> int:
 def _cmd_pmmh(args) -> int:
     config = parse_pmmh(load_config(args.config))
     if args.data_kind == "prices":
-        observations = load_returns(args.data, max_rows=config.steps)
+        observations = load_returns(args.data)
     else:
-        observations = load_observations(args.data, column=args.column, max_rows=config.steps)
+        observations = load_observations(args.data, column=args.column)
+    observations = observations[: config.steps]  # steps None keeps the whole record
     record = run_sv_pmmh(observations, config, args.algo, args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -95,21 +95,20 @@ def parse_model(config: dict):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+_BUILDERS = {  # params class: (model builder, twist builder)
+    LinearGaussianParams: (lg_model, lg_twist),
+    StochasticVolatilityParams: (sv_model, sv_twist),
+}
+
+
 def build_model(params) -> HmmModel:
-    if isinstance(params, LinearGaussianParams):
-        return lg_model(params)
-    if isinstance(params, StochasticVolatilityParams):
-        return sv_model(params)
-    raise ConfigError(f"no model builder for {type(params).__name__}")
+    """The model for a parameter object from :func:`parse_model`."""
+    return _BUILDERS[type(params)][0](params)
 
 
 def build_twist(params, lag: int):
     """The lookahead twist for ``build_model(params)``."""
-    if isinstance(params, LinearGaussianParams):
-        return lg_twist(params, lag)
-    if isinstance(params, StochasticVolatilityParams):
-        return sv_twist(params, lag)
-    raise ConfigError(f"no twist builder for {type(params).__name__}")
+    return _BUILDERS[type(params)][1](params, lag)
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,6 @@ FILTERS = {  # CLI name: (runner, uses_kernel, twisted)
     ),
     "alive-twisted": FilterAlgo(alive_twisted_filter, True, True),
 }
-
-
-def filter_algo(name: str) -> FilterAlgo:
-    """The FILTERS entry for ``name``; raises ValueError for an unknown name."""
-    try:
-        return FILTERS[name]
-    except KeyError:
-        raise ValueError(f"unknown filter algo {name!r}") from None
 
 
 def parse_kernel(config: dict) -> AbcKernel:

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .configs import GridConfig, PmmhConfig, build_twist, filter_algo
+from .configs import FILTERS, GridConfig, PmmhConfig, build_twist
 from .kernels import AbcKernel
 from .models import LinearGaussianParams, StochasticVolatilityParams, lg_model, simulate, sv_model
 from .pmmh import (
@@ -64,7 +64,7 @@ def _grid_replicate(args):
     model = lg_model(params)
     kernel = AbcKernel(config.epsilon, config.mode)
     stream = derive_stream(SeedSpec(master_seed, stream_id))
-    runner = filter_algo(algo)
+    runner = FILTERS[algo]
     twist = build_twist(params, config.lag) if runner.twisted else None
     try:
         _, estimate = runner.run(
@@ -138,12 +138,11 @@ def variance_grid(config: GridConfig, master_seed: int, workers: int = 1) -> Lis
 # ---------------------------------------------------------------------------
 
 
-def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
+def load_returns(path: str) -> np.ndarray:
     """Log returns from a CSV of (ISO date, closing price) rows.
 
     A header row is skipped if its price field is not numeric.  Prices must
-    be positive and dates strictly ascending; the result is log(p_n / p_{n-1})
-    with optional truncation to the first ``max_rows`` returns.
+    be positive and dates strictly ascending; the result is log(p_n / p_{n-1}).
     """
     dates: List[datetime.date] = []
     prices: List[float] = []
@@ -172,18 +171,11 @@ def load_returns(path: str, max_rows: Optional[int] = None) -> np.ndarray:
             prices.append(price)
     if len(prices) < 2:
         raise ValueError(f"{path}: need at least two prices to form returns")
-    returns = np.diff(np.log(np.asarray(prices)))
-    if max_rows is not None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be positive, got {max_rows}")
-        returns = returns[:max_rows]
-    return returns
+    return np.diff(np.log(np.asarray(prices)))
 
 
-def load_observations(path: str, column: str = "observation",
-                      max_rows: Optional[int] = None) -> np.ndarray:
-    """A named numeric column from a headed CSV file, cut to its first
-    ``max_rows`` values when that positive count is given."""
+def load_observations(path: str, column: str = "observation") -> np.ndarray:
+    """A named numeric column from a headed CSV file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -205,12 +197,7 @@ def load_observations(path: str, column: str = "observation",
                 raise ValueError(f"{path}:{line}: observation {values[-1]} is not finite")
     if not values:
         raise ValueError(f"{path}: no data rows")
-    observations = np.asarray(values, dtype=float)
-    if max_rows is not None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be positive, got {max_rows}")
-        observations = observations[:max_rows]
-    return observations
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +206,13 @@ def load_observations(path: str, column: str = "observation",
 
 
 def sv_filter_runner(observations, config: PmmhConfig, algo: str):
-    """The (theta, stream) -> (generations, estimate) hook for the chain."""
+    """The (theta, stream) -> (generations, estimate) hook for the chain;
+    ``algo`` is looked up in FILTERS here, so an unknown name raises KeyError."""
     observations = np.asarray(observations, dtype=float)
     kernel = AbcKernel(config.epsilon, config.mode)
+    runner = FILTERS[algo]
 
     def run_filter(theta, stream):
-        runner = filter_algo(algo)
         params = StochasticVolatilityParams(
             F=theta.F, nu2=theta.nu2, alpha=config.alpha, beta=config.beta,
             gamma=theta.gamma, delta=config.delta,

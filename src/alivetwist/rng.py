@@ -62,11 +62,9 @@ def derive_stream(seed: SeedSpec) -> np.random.Generator:
 
 
 def gaussian(stream: np.random.Generator, mean: float, variance: float) -> float:
-    """One N(mean, variance) variate; variance 0 returns the mean exactly."""
+    """One N(mean, variance) variate, as mean + sqrt(variance) * z."""
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
-    if variance == 0:
-        return float(mean)
     return float(mean + np.sqrt(variance) * stream.standard_normal())
 
 

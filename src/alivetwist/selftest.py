@@ -22,7 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .configs import GridConfig, PmmhConfig, filter_algo
+from .configs import FILTERS, GridConfig, PmmhConfig
 from .experiments import parallel_map, run_sv_pmmh, variance_grid
 from .kernels import AbcKernel, DiscreteBallKernel
 from .models import (
@@ -79,7 +79,7 @@ def _replicate_means(name: str, cases) -> CheckResult:
 
 def _estimate(algo, model, kernel, twist, observations, n_particles, stream, log_target=0.0):
     """One ``algo`` run's normalising-constant estimate over exp(log_target)."""
-    _, estimate = filter_algo(algo).run(
+    _, estimate = FILTERS[algo].run(
         model, kernel, twist, observations, n_particles, 100_000, stream
     )
     return np.exp(estimate.log_total - log_target)
@@ -281,23 +281,21 @@ def synthetic_sv_record(master_seed: int, steps: int) -> np.ndarray:
 
 
 def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: int,
-                                steps: int, seeds: int, acf_slack: float,
-                                rate_window=(0.01, 0.9), acf_max_lag: int = 50,
-                                workers: Optional[int] = None,
-                                compare_acf: bool = True) -> CheckResult:
+                                steps: int, seeds: int, acf_slack: Optional[float] = None,
+                                rate_window=(0.01, 0.9),
+                                workers: Optional[int] = None) -> CheckResult:
     """Both posterior samplers stay healthy on a synthetic volatility record.
 
     Health means every chain completes with an acceptance rate inside
-    ``rate_window``; when ``compare_acf`` is set, the guided variant's mean
-    autocorrelation of F over lags 1..acf_max_lag (pooled across seeds,
-    after burn-in) must not exceed the plain variant's by more than
-    ``acf_slack``.
+    ``rate_window``; when ``acf_slack`` is given, the guided variant's mean
+    autocorrelation of F over lags 1-50 (pooled across seeds, after
+    burn-in) must not exceed the plain variant's by more than ``acf_slack``.
     """
     observations = synthetic_sv_record(master_seed, steps)
     config = PmmhConfig(
         iterations=iterations, n_particles=n_particles, epsilon=3.5, lag=5,
         cap=1_000_000, alpha=1.95, beta=0.05, delta=0.0,
-        burn_in_fraction=0.1, acf_max_lag=acf_max_lag, mode="relative",
+        burn_in_fraction=0.1, acf_max_lag=50, mode="relative",
     )
     tasks = []
     for seed_index in range(seeds):
@@ -317,14 +315,14 @@ def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: 
         passed = passed and ok
         details.append(f"{algo}: rate {rate:.3f}, {early} early rejections"
                        + (f", {cap_events} cap events" if cap_events else ""))
-        if compare_acf:
-            acfs[algo].append(acf(f_series, acf_max_lag)[1:])
-    if compare_acf:
+        if acf_slack is not None:
+            acfs[algo].append(acf(f_series, config.acf_max_lag)[1:])
+    if acf_slack is not None:
         mean_plain = float(np.mean(acfs["alive"]))
         mean_twisted = float(np.mean(acfs["alive-twisted"]))
         passed = passed and mean_twisted <= mean_plain + acf_slack
         details.append(
-            f"mean F autocorrelation lags 1-{acf_max_lag}: "
+            f"mean F autocorrelation lags 1-{config.acf_max_lag}: "
             f"twisted {mean_twisted:.4f} vs plain {mean_plain:.4f} (slack {acf_slack})"
         )
     return CheckResult("volatility posterior sampling", passed, "; ".join(details))
@@ -367,7 +365,6 @@ def run_selftest(level: str = _QUICK, master_seed: int = 20260815,
                                                cap=100_000, workers=workers or 1))
         timed(lambda: check_grid_posterior(master_seed, iterations=4_000, tolerance=0.05))
         timed(lambda: check_sv_posterior_sampling(master_seed, iterations=120, n_particles=20,
-                                                  steps=40, seeds=1, acf_slack=1.0,
-                                                  rate_window=(0.0, 1.0), acf_max_lag=10,
-                                                  workers=workers, compare_acf=False))
+                                                  steps=40, seeds=1, rate_window=(0.0, 1.0),
+                                                  workers=workers))
     return results

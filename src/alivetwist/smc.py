@@ -162,10 +162,9 @@ class NormConstEstimate:
 
 
 def _logsumexp1d(values: np.ndarray) -> float:
-    """log(sum(exp(values))) for a 1-d float array, without scipy's dispatch cost."""
+    """log(sum(exp(values))) for a nonempty 1-d float array whose largest entry
+    is finite (twist ``log_h`` values are), without scipy's dispatch cost."""
     shift = float(values.max())
-    if not np.isfinite(shift):
-        return shift
     return shift + math.log(float(np.exp(values - shift).sum()))
 
 

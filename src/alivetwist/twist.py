@@ -10,7 +10,10 @@ The guided particle comes first in its pool: every reader of a pool (uniform
 ancestor picks, the qh-weighted anchor, resampling by weight, the factor's
 sums) is symmetric in particle order, so where it sits changes no law.
 
-Any object with these four hooks works as a twist (log domain throughout):
+A twist is any object with the hooks its filter reads (log domain
+throughout): ``twisted_bootstrap_filter`` reads ``log_h``, ``log_qh`` and
+``propose_guided_states``; ``alive_twisted_filter`` reads ``log_h``,
+``log_qh_alive`` and ``propose_guided_states``.
 
 * ``log_h(y_window, k)`` — elementwise over a state array ``k``, where
   ``y_window = observations[t:]`` so the current step's observation is
@@ -20,6 +23,9 @@ Any object with these four hooks works as a twist (log domain throughout):
   the alive filter (below);
 * ``propose_guided_states(k, y_window, stream, count)`` — ``count`` iid
   next states out of the ancestor state ``k``, reweighted by h.
+
+``DiscreteTableTwist`` has no ``log_qh``: finite-state models have no
+observation density, so only the alive filter runs them.
 
 The first step is one more transition, out of a fictitious time-0 state
 (Whiteley & Lee, arXiv:1210.0220): passing ``k = None`` to ``log_qh``,
@@ -334,7 +340,7 @@ def sv_twist(params, lag: int) -> GaussianLookaheadTwist:
 class DiscreteTableTwist:
     """Twist given by an explicit (step, state) table of log h values.
 
-    qh and the twisted sampler are computed exactly from the model's
+    qh_alive and the twisted sampler are computed exactly from the model's
     transition matrix, so any positive table is a valid twist; this is the
     workhorse for checking the twisted estimators against the finite-state
     oracle.  The step index is inferred from the length of the remaining
@@ -374,10 +380,6 @@ class DiscreteTableTwist:
 
     def log_h(self, y_window, k) -> np.ndarray:
         return self.log_h_table[self._step(y_window), np.asarray(k, dtype=np.int64)]
-
-    def log_qh(self, y_window, k) -> np.ndarray:
-        t = self._step(y_window)
-        return np.log(self._next_state_law(t, k) @ self._h[t])
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
         """``count`` iid next states out of ``k_anc`` (None: the initial draw

@@ -416,6 +416,12 @@ class TestPmmh:
                          "--seed", "13", "--out-dir", str(out_dir)]) == 0
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["steps"] == 9
+        # 'steps' below the record's 9 returns keeps the first ones
+        assert cli.main(["pmmh", "--algo", "alive", "--config", self._config(tmp_path, steps=5),
+                         "--data", str(prices), "--data-kind", "prices",
+                         "--seed", "13", "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["steps"] == 5
 
     @pytest.mark.parametrize("algo", ["alive", "alive-twisted"])
     def test_cap_below_n_particles_exits_1_before_any_run(self, tmp_path, sv_config, monkeypatch,

@@ -13,7 +13,6 @@ from alivetwist.configs import (
     PmmhConfig,
     build_model,
     build_twist,
-    filter_algo,
     load_config,
     parse_filter,
     parse_grid,
@@ -91,25 +90,15 @@ class TestParseModel:
         assert lg.log_observation_density is not None
         sv = build_model(StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5))
         assert sv.log_observation_density is None
-        with pytest.raises(ConfigError):
-            build_model(object())
 
     def test_build_twist(self):
         lg = build_twist(LinearGaussianParams(0.9, 1.0, 1.0), 3)
         assert (lg.obs_var, lg.lag) == (1.0, 3)
         sv = build_twist(StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5), 2)
         assert sv.obs_var == 2 * 0.5**2
-        with pytest.raises(ConfigError):
-            build_twist(object(), 1)
 
 
 class TestFilterTable:
-    def test_names_and_unknown_name(self):
-        assert sorted(FILTERS) == ["alive", "alive-twisted", "bootstrap", "twisted-bootstrap"]
-        assert filter_algo("alive") is FILTERS["alive"]
-        with pytest.raises(ValueError, match="smoother"):
-            filter_algo("smoother")
-
     @pytest.mark.parametrize("algo", sorted(FILTERS))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_every_filter_rejects_non_finite_observations(self, algo, bad):
@@ -241,6 +230,7 @@ class TestParsePmmh:
             {"burn_in_fraction": -0.1},
             {"acf_max_lag": 0},
             {"steps": 0},
+            {"steps": -1},
             {"n_particles": 1},
             {"cap": 49},
             {"lag": -1},

@@ -45,8 +45,7 @@ def test_sv_posterior_check_is_the_same_in_a_worker_pool():
     chains run in this process or in two workers."""
     def check(workers):
         result = check_sv_posterior_sampling(7, iterations=20, n_particles=10, steps=10,
-                                             seeds=1, acf_slack=1.0, workers=workers,
-                                             compare_acf=False)
+                                             seeds=1, workers=workers)
         return result.passed, result.detail
 
     assert check(1) == check(2)
@@ -151,3 +150,20 @@ def test_grid_posterior_fails_a_broken_chain(monkeypatch, chain):
     monkeypatch.setattr(selftest, "run_chain", chain)
     result = check_grid_posterior(GRID_SEED, iterations=2000, tolerance=0.05)
     assert not result.passed, result.detail
+
+
+def test_sv_posterior_check_compares_acf_only_when_given_a_slack():
+    """With a slack the check ends its detail with the mean F autocorrelation
+    line and judges it: a slack of 2 always passes and -2 never does, since
+    both means lie in [-1, 1]; without a slack the line is absent."""
+    def check(acf_slack):
+        return check_sv_posterior_sampling(7, iterations=60, n_particles=10, steps=10, seeds=1,
+                                           acf_slack=acf_slack, rate_window=(0.0, 1.0),
+                                           workers=1)
+
+    lenient, impossible, plain = check(2.0), check(-2.0), check(None)
+    assert lenient.passed and not impossible.passed and plain.passed
+    rates, line = lenient.detail.rsplit("; ", 1)
+    assert line.startswith("mean F autocorrelation lags 1-50: twisted ")
+    assert line.endswith("(slack 2.0)")
+    assert plain.detail == rates

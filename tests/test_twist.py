@@ -452,23 +452,10 @@ class TestDiscreteTableTwist:
         with pytest.raises(ValueError, match="twist table must be finite"):
             DiscreteTableTwist(np.array([[0.0, np.inf, 0.0]]), params)
 
-    def test_qh_is_exact_transition_average(self):
-        params = self._params()
-        table = stream_for(246).normal(size=(4, 3))
-        twist = DiscreteTableTwist(table, params)
-        window = np.arange(4)  # only the length matters for step inference
-        k = np.array([0, 1, 2])
-        want = np.log(params.transition @ np.exp(table[0]))[k]
-        np.testing.assert_allclose(twist.log_qh(window, k), want, rtol=1e-12)
-        want_init = float(np.log((params.initial @ params.transition) @ np.exp(table[0])))
-        assert twist.log_qh(window, None) == pytest.approx(want_init, rel=1e-12)
-
     def test_window_length_must_match_table(self):
         twist = constant_twist(3, self._params())
         with pytest.raises(ValueError):
             twist.log_h(np.arange(5), np.array([0]))
-        with pytest.raises(ValueError):
-            twist.log_qh(np.arange(2), None)  # not the first step
         with pytest.raises(ValueError):
             twist.log_qh_alive(np.arange(2), None, DiscreteBallKernel(twist.params.acceptance))
         with pytest.raises(ValueError):
