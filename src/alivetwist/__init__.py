@@ -45,20 +45,20 @@ from .smc import (
     ParticleGeneration,
     StoppingTimeCapError,
     alive_filter,
+    alive_twisted_filter,
     bootstrap_filter,
     rejection_floor,
     sample_until_alive,
+    twisted_bootstrap_filter,
 )
 from .twist import (
     DiscreteTableTwist,
     GaussianLookaheadTwist,
     acceptance_prob_twist,
-    alive_twisted_filter,
     constant_twist,
     lg_twist,
     random_positive_twist,
     sv_twist,
-    twisted_bootstrap_filter,
 )
 
 __version__ = "0.1.0"

@@ -20,8 +20,14 @@ from .models import (
     lg_model,
     sv_model,
 )
-from .smc import DEFAULT_TRIAL_CAP, alive_filter, bootstrap_filter
-from .twist import alive_twisted_filter, lg_twist, sv_twist, twisted_bootstrap_filter
+from .smc import (
+    DEFAULT_TRIAL_CAP,
+    alive_filter,
+    alive_twisted_filter,
+    bootstrap_filter,
+    twisted_bootstrap_filter,
+)
+from .twist import lg_twist, sv_twist
 
 
 class ConfigError(ValueError):

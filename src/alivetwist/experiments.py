@@ -50,7 +50,10 @@ def log_sample_variance(log_values) -> Optional[float]:
 
 def parallel_map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     """``[fn(task) for task in tasks]``, spread over ``workers`` processes when
-    there is more than one; ``fn`` must be top-level so the pool can pickle it."""
+    there is more than one; ``fn`` must be top-level so the pool can pickle it.
+    The pool has at most one process per task: under ``fork`` the executor
+    starts all of its processes at once."""
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))

@@ -68,18 +68,6 @@ def gaussian(stream: np.random.Generator, mean: float, variance: float) -> float
     return float(mean + np.sqrt(variance) * stream.standard_normal())
 
 
-def log_categorical(stream: np.random.Generator, log_weights: np.ndarray):
-    """(index, log of the summed weights) for one draw proportional to
-    exp(log_weights); one shifted-exp pass serves both.  Raises ValueError
-    unless the largest log weight is finite (no NaN, no +inf, not all -inf)."""
-    shift = float(log_weights.max())
-    if not math.isfinite(shift):
-        raise ValueError(f"invalid categorical weights: largest log weight {shift}")
-    cdf = np.cumsum(np.exp(log_weights - shift))
-    pick = int(np.searchsorted(cdf, stream.random() * cdf[-1], side="right"))
-    return min(pick, cdf.size - 1), shift + math.log(float(cdf[-1]))
-
-
 def categorical_many(stream: np.random.Generator, weights, size: int) -> np.ndarray:
     """Vector of ``size`` iid index draws proportional to ``weights``.
 

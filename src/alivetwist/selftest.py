@@ -38,14 +38,8 @@ from .models import (
 )
 from .pmmh import acf, run_chain
 from .rng import SeedSpec, categorical_many, derive_stream
-from .smc import alive_filter, sample_until_alive
-from .twist import (
-    acceptance_prob_twist,
-    alive_twisted_filter,
-    constant_twist,
-    lg_twist,
-    random_positive_twist,
-)
+from .smc import alive_filter, alive_twisted_filter, sample_until_alive
+from .twist import acceptance_prob_twist, constant_twist, lg_twist, random_positive_twist
 
 
 @dataclass
@@ -304,7 +298,7 @@ def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: 
             tasks.append((observations, config, algo, master_seed, stream_id))
 
     if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
     outcomes = parallel_map(_sv_chain_task, tasks, workers)
 
     details = []

@@ -1,26 +1,26 @@
-"""Lookahead-guided ("twisted") variants of the particle filters.
+"""Lookahead twists: the guidance the twisted filters in ``smc`` read.
 
 A twist is a strictly positive function h of the latent state that scores how
-promising a state is for the upcoming observations.  Each filter step gets
-one guided slot: its ancestor is chosen proportional to weight times
+promising a state is for the upcoming observations.  Each twisted filter step
+gets one guided slot: its ancestor is chosen proportional to weight times
 qh(ancestor) — where qh(k) = E[h(K_next) | K_now = k] integrates h through
 one transition — and its new state is drawn from the transition density
 reweighted by h.  All other slots behave exactly as in the untwisted filter.
-The guided particle comes first in its pool: every reader of a pool (uniform
-ancestor picks, the qh-weighted anchor, resampling by weight, the factor's
-sums) is symmetric in particle order, so where it sits changes no law.
 
 A twist is any object with the hooks its filter reads (log domain
-throughout): ``twisted_bootstrap_filter`` reads ``log_h``, ``log_qh`` and
-``propose_guided_states``; ``alive_twisted_filter`` reads ``log_h``,
-``log_qh_alive`` and ``propose_guided_states``.
+throughout): ``smc.twisted_bootstrap_filter`` reads ``log_h``, ``log_qh``
+and ``propose_guided_states``; ``smc.alive_twisted_filter`` reads
+``log_h``, ``log_qh_alive`` and ``propose_guided_states``.
 
 * ``log_h(y_window, k)`` — elementwise over a state array ``k``, where
   ``y_window = observations[t:]`` so the current step's observation is
   ``y_window[0]``;
 * ``log_qh(y_window, k)`` — log of E[h(K_next) | k], elementwise;
-* ``log_qh_alive(y_window, k, kernel)`` — the acceptance-augmented mass of
-  the alive filter (below);
+* ``log_qh_alive(y_window, k, kernel)`` — log E[W * h] through one
+  transition plus one simulated observation, where W is the kernel's binary
+  weight for the current observation: the alive filter's twist is the
+  product (current-step acceptance) * h, on the state and its
+  pseudo-observation;
 * ``propose_guided_states(k, y_window, stream, count)`` — ``count`` iid
   next states out of the ancestor state ``k``, reweighted by h.
 
@@ -40,72 +40,25 @@ effective lag, so the twist keeps one row of them per lag and each hook is a
 row lookup plus in-place arithmetic over the states.  A step is untwisted
 (h = 1) at the record's last step and wherever the lookahead constants
 overflow, which any positive h allows; the only error a twist raises is
-``ValueError``.
+``ValueError``.  Every value a hook returns is finite: log masses floor at
+``LOG_FLOOR``.
 
 The evaluation hooks must be mutually consistent (qh really is the
 transition integral of h); that consistency is what keeps the reweighted
 normalising-constant estimators unbiased, so it is property-tested rather
 than assumed.
-
-For the density-weighted (bootstrap) filter the guidance stops there, and
-the step factor is the pool's mean likelihood times a ratio of two pool
-averages: the previous pool's weighted mean of qh over the new pool's mean
-of h.  With a constant twist both means are 1 and the filter collapses to
-its untwisted counterpart; that collapse doubles as a regression check.
-
-The accept/reject (alive) filter twists by more than the lookahead: the slot
-that matters for its variance is the binary acceptance itself, so the
-effective twist there is the product (current-step acceptance) * h.  That
-product is still a twist — just one defined on the state *and* its simulated
-pseudo-observation — so the same change-of-measure algebra applies:
-``log_qh_alive`` is log E[W * h] through one transition plus one
-simulation, where W is the kernel's binary weight for the current
-observation.
-The guided (state, pseudo-observation) pair is drawn from the h-reweighted
-transition *conditioned on acceptance* by rejection: the first
-``propose_guided_states`` candidate whose simulated observation the kernel
-accepts, so the guided particle lands inside the kernel's ball.  Each alive
-step reads its stream in this order: the guided anchor, the plain pool (one
-``sample_until_alive`` call), then the guided candidates (a second call, on
-the proposals the pool left of the cap).  Both calls observe through the
-run's one ``smc.pseudo_observer``: for a model with the noise hook the
-candidates take their noise where the pool's left off in the run's current
-block, and a fresh block is read from the stream only where a request runs
-past the one in hand, so most steps read no noise for their candidates.
-
-The alive step factor is then [sum of qh-with-acceptance over the previous
-pool's accepted particles] / [sum of h over the current pool's accepted
-among its first T - 1].  With a constant twist the factor becomes the
-previous pool's average one-step acceptance mass — the exact conditional
-expectation of the untwisted filter's (N - 1)/(T - 1) factor — which is why
-the twisted estimator trades the stopping-time noise for smooth density
-ratios.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import _LOG_TWO_PI, DiscreteHmmParams
-from .rng import categorical_many, log_categorical
-from .smc import (
-    DEFAULT_TRIAL_CAP,
-    BootstrapGeneration,
-    NormConstEstimate,
-    ParticleGeneration,
-    StoppingTimeCapError,
-    _logsumexp1d,
-    _pool_weights,
-    _resample,
-    alive_proposer,
-    checked_observations,
-    pseudo_observer,
-    sample_until_alive,
-)
+from .rng import categorical_many
 
 LOG_FLOOR = float(np.log(1e-300))
 
@@ -143,16 +96,24 @@ def ndtr(x):
 def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     """log P(lo <= X <= hi) for X ~ N(mean, var), elementwise over ``mean``.
 
-    Each interval is reflected onto the lower tail, where the CDF difference
-    stays well conditioned, so masses far out in either tail stay accurate
-    instead of cancelling to zero.  Masses below 1e-300 floor at LOG_FLOOR.
+    Each finite interval is reflected onto the lower tail, where the CDF
+    difference stays well conditioned, so masses far out in either tail stay
+    accurate instead of cancelling to zero.  An infinite end (a relative
+    kernel's half-width can overflow) leaves a one-sided mass, one CDF value,
+    or 1 for the whole line.  Masses below 1e-300 floor at LOG_FLOOR.
     """
     sd = math.sqrt(var)
-    # x: the midpoint reflected onto the lower half-line, where the CDF keeps full
-    # relative precision down to the floor; halves summed so it cannot overflow
-    x = -np.abs((0.5 * lo + 0.5 * hi - np.asarray(mean, dtype=float)) / sd)
-    w = 0.5 * (hi - lo) / sd
-    mass = ndtr(x + w) - ndtr(x - w)
+    mean = np.asarray(mean, dtype=float)
+    if hi == math.inf:
+        mass = ndtr((mean - lo) / sd) if lo > -math.inf else np.ones(mean.shape)
+    elif lo == -math.inf:
+        mass = ndtr((hi - mean) / sd)
+    else:
+        # x: the midpoint reflected onto the lower half-line, where the CDF keeps full
+        # relative precision down to the floor; halves summed so it cannot overflow
+        x = -np.abs((0.5 * lo + 0.5 * hi - mean) / sd)
+        w = 0.5 * (hi - lo) / sd
+        mass = ndtr(x + w) - ndtr(x - w)
     return np.log(np.maximum(mass, 1e-300))
 
 
@@ -418,6 +379,8 @@ def acceptance_prob_twist(params: DiscreteHmmParams, observations, lag: int) -> 
     of the record), computed by backward induction — the natural guidance
     target for accept/reject filters.
     """
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
     observations = np.asarray(observations)
     steps = observations.size
     mass = params.emission @ params.acceptance.T.astype(float)
@@ -429,180 +392,3 @@ def acceptance_prob_twist(params: DiscreteHmmParams, observations, lag: int) -> 
             value = params.transition @ (mass[:, int(observations[s])] * value)
         table[t] = value
     return DiscreteTableTwist(np.log(np.maximum(table, 1e-300)), params)
-
-
-# ---------------------------------------------------------------------------
-# twisted filters
-# ---------------------------------------------------------------------------
-
-
-def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
-                             stream: Optional[np.random.Generator] = None):
-    """Bootstrap filter with one lookahead-guided slot per step.
-
-    Per step, in stream order: the guided ancestor is drawn proportional to
-    weight times qh, the guided state from the h-reweighted transition, then
-    all other slots exactly as in the bootstrap filter; the guided state is
-    the pool's first particle.  The step factor is the pool's mean observation
-    likelihood times (previous weighted mean of qh) / (current mean of h).
-    The first step has no previous pool: the twist is asked with ancestor
-    None, so the guided state and the qh mean come from the initial draw
-    plus one transition.
-    """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 2:
-        raise ValueError(f"need at least 2 particles, got {n_particles}")
-    if model.log_observation_density is None:
-        raise ValueError("bootstrap filtering requires a model with an observation density")
-    observations = checked_observations(observations, float)
-
-    generations: List[BootstrapGeneration] = []
-    log_factors: List[float] = []
-    prev: Optional[BootstrapGeneration] = None
-    prev_total = 0.0
-
-    for t in range(observations.size):
-        y = observations[t]
-        y_window = observations[t:]
-        if prev is None:
-            guided = twist.propose_guided_states(None, y_window, stream, 1)
-            log_qh_sum = float(twist.log_qh(y_window, None))
-            others = model.transition_sampler(
-                model.init_state_sampler(stream, n_particles - 1), stream
-            )
-        else:
-            guided_ancestor, log_scores_sum = log_categorical(
-                stream, prev.log_weights + twist.log_qh(y_window, prev.states)
-            )
-            guided = twist.propose_guided_states(
-                prev.states[guided_ancestor], y_window, stream, 1
-            )
-            other_ancestors = _resample(stream, cdf, n_particles - 1)
-            others = model.transition_sampler(prev.states[other_ancestors], stream)
-            # the previous pool's log-weight total is exactly last step's factor input
-            log_qh_sum = log_scores_sum - prev_total
-        states = np.concatenate((guided, others))
-        log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
-        cdf, total = _pool_weights(log_weights, t)
-        log_wh_sum = _logsumexp1d(twist.log_h(y_window, states)) - math.log(n_particles)
-        prev_total = total
-        generation = BootstrapGeneration(
-            states=states,
-            log_weights=log_weights,
-            log_qh_sum=log_qh_sum,
-            log_wh_sum=log_wh_sum,
-        )
-        generations.append(generation)
-        log_factors.append(total - math.log(n_particles) + log_qh_sum - log_wh_sum)
-        prev = generation
-
-    return generations, NormConstEstimate.from_log_factors(log_factors)
-
-
-GUIDED_BATCH = 8  # first batch of guided candidates per step
-
-
-def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
-                         cap: int = DEFAULT_TRIAL_CAP,
-                         stream: Optional[np.random.Generator] = None):
-    """Accept/reject filter guided by an acceptance-augmented twist.
-
-    The twist acts on the (state, simulated observation) pair: the effective
-    guidance is h times the current step's acceptance indicator, so its
-    one-step expectation ``qh_alive`` is qh times the probability that a
-    fresh simulation lands inside the kernel's acceptance region.
-
-    Per step, in stream order: one guided ancestor is drawn proportional to
-    qh_alive among the previous pool's accepted particles (first T - 1
-    slots); ordinary proposals continue until n_particles - 1 are accepted,
-    through one sample_until_alive call; the guided (state,
-    pseudo-observation) pair is the first accepted ``propose_guided_states``
-    candidate of a second call, so it comes from the h-reweighted transition
-    *conditioned on acceptance* and the guided slot is always alive.  The
-    pool is the guided particle followed by the plain proposals, so the
-    guided particle sits within the first T - 1 and the plain pool's own
-    last acceptance is the one left out.  Plain proposals and guided
-    candidates alike are observed through the run's one
-    ``smc.pseudo_observer``.
-
-    Plain proposals up to the stopping position plus guided candidates up to
-    the accepted one never exceed the cap: the guided call gets what the pool
-    left.  A step that cannot go alive within it raises StoppingTimeCapError
-    with the step's own accounting (target n_particles, the filter's cap).
-    A cap below n_particles is a bad argument (ValueError), as in
-    alive_filter.
-
-    The step factor is the previous pool's accepted-particle sum of qh_alive
-    over the current pool's accepted-particle sum of h (first T - 1 slots
-    both); at the first step the twist is asked with ancestor None (the
-    initial draw plus one transition), and the numerator is (n_particles - 1)
-    times that qh_alive mass.  With a constant twist the factor collapses to
-    the accepted pool's mean one-step acceptance mass — same expectation as
-    the plain alive ratio (n_particles - 1) / (T - 1), with the stopping
-    time integrated out.
-    """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 2:
-        raise ValueError(f"need at least 2 particles, got {n_particles}")
-    if cap < n_particles:
-        raise ValueError(f"cap {cap} cannot be below the acceptance target {n_particles}")
-    observations = checked_observations(observations)
-
-    observe = pseudo_observer(model)
-    generations: List[ParticleGeneration] = []
-    log_factors: List[float] = []
-    batch_hint = None
-    accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
-
-    for t in range(observations.size):
-        y = observations[t]
-        y_window = observations[t:]
-        if accepted_states is None:
-            guided_anchor = None
-            log_numerator = math.log(n_particles - 1) + float(
-                twist.log_qh_alive(y_window, None, kernel)
-            )
-        else:
-            pick, log_numerator = log_categorical(
-                stream, twist.log_qh_alive(y_window, accepted_states, kernel)
-            )
-            guided_anchor = accepted_states[pick]
-
-        def propose_guided(stream, count):
-            states = twist.propose_guided_states(guided_anchor, y_window, stream, count)
-            return {"states": states, "pseudo_obs": observe(states, stream)}
-
-        rest = 0  # plain proposals up to the pool's stopping position, once it has one
-        try:
-            pool, rest = sample_until_alive(
-                alive_proposer(model, observe, accepted_states), kernel, y, n_particles - 1,
-                cap, stream, batch_hint=batch_hint, step=t,
-            )
-            if rest == cap:  # nothing left to draw the guided pair with
-                raise StoppingTimeCapError(t, 0, 0, 1, 0)
-            guided, _ = sample_until_alive(
-                propose_guided, kernel, y, 1, cap - rest, stream, batch_hint=GUIDED_BATCH, step=t,
-            )
-        except StoppingTimeCapError as err:
-            accepted = n_particles - 1 if rest else err.accepted
-            raise StoppingTimeCapError(t, rest + err.drawn, accepted, n_particles, cap) from None
-        stopping_time = rest + 1
-        states = np.concatenate((guided["states"][-1:], pool["states"]))
-        weights = np.concatenate((guided["weights"][-1:], pool["weights"]))
-
-        accepted_states = states[weights[: stopping_time - 1].nonzero()[0]]
-        log_denominator = _logsumexp1d(twist.log_h(y_window, accepted_states))
-        generation = ParticleGeneration(
-            states=states,
-            weights=weights,
-            stopping_time=stopping_time,
-            log_qh_sum=log_numerator,
-            log_wh_sum=log_denominator,
-        )
-        generations.append(generation)
-        log_factors.append(log_numerator - log_denominator)
-        batch_hint = math.ceil(1.3 * stopping_time)
-
-    return generations, NormConstEstimate.from_log_factors(log_factors)

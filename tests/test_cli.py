@@ -211,6 +211,27 @@ class TestFilter:
         assert code == 3
         assert capsys.readouterr().err.startswith("alivetwist: aborted:")
 
+    @pytest.mark.parametrize("model_config", [LG_CONFIG, SV_CONFIG], ids=["lg", "sv"])
+    @pytest.mark.parametrize("algo", ["alive", "alive-twisted"])
+    def test_infinite_acceptance_interval_runs(self, tmp_path, model_config, algo):
+        """At relative epsilon 3.5 the 1e308 row's half-width overflows, so its
+        acceptance interval is the whole line: both alive filters accept every
+        proposal there, the twisted one through a mass of 1."""
+        data = tmp_path / "huge.csv"
+        data.write_text("observation\n0.5\n1e308\n1.0\n", encoding="utf-8")
+        config = _write_json(tmp_path, "huge.json", dict(
+            model_config, kernel={"epsilon": 3.5, "mode": "relative"},
+            filter={"n_particles": 10, "lag": 2, "cap": 10000}))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["filter", "--algo", algo, "--config", config,
+                             "--data", str(data), "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 3
+        assert int(rows[1][1]) == 10  # stopping time: every proposal accepted
+        assert all(math.isfinite(float(row[3])) for row in rows)
+
     @pytest.mark.parametrize("plain, twisted, abort", [
         ("alive", "alive-twisted", "stopping-time cap exceeded at step 0"),
         ("bootstrap", "twisted-bootstrap", "particle death at step 1"),

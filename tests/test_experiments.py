@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alivetwist import experiments
 from alivetwist.configs import GridConfig, PmmhConfig
 from alivetwist.experiments import (
     load_observations,
@@ -26,8 +27,8 @@ from alivetwist.models import (
 )
 from alivetwist.pmmh import SvTheta
 from alivetwist.rng import SeedSpec, derive_stream
-from alivetwist.smc import alive_filter
-from alivetwist.twist import alive_twisted_filter, lg_twist, sv_twist
+from alivetwist.smc import alive_filter, alive_twisted_filter
+from alivetwist.twist import lg_twist, sv_twist
 
 from helpers import stream_for
 
@@ -121,6 +122,31 @@ class TestVarianceGrid:
         serial = variance_grid(config, 7041, workers=1)
         pooled = variance_grid(config, 7041, workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("workers, tasks, want", [(64, 2, 2), (2, 5, 2)])
+    def test_parallel_map_starts_no_more_workers_than_tasks(self, monkeypatch, workers,
+                                                             tasks, want):
+        """Under fork the executor starts all ``max_workers`` processes at once,
+        so the pool is sized to the tasks; a recording executor stands in for
+        the real one, so no process starts."""
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialExecutor)
+        assert experiments.parallel_map(abs, range(-tasks, 0), workers) == list(range(tasks, 0, -1))
+        assert started == [want]
 
     def test_cap_exhaustion_is_reported_not_raised(self):
         config = _grid_config(epsilon=1e-9, cap=50)

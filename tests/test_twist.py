@@ -1,5 +1,6 @@
 """Twist objects: internal consistency of h, qh, and the twisted samplers."""
 
+import ast
 import math
 import warnings
 
@@ -35,7 +36,20 @@ from alivetwist.twist import (
     ar1_lookahead_variance,
 )
 
-from helpers import stream_for
+from helpers import SRC, stream_for
+
+
+def _relative_imports(module: str) -> set:
+    """The sibling modules ``alivetwist.<module>`` imports with ``from .x import``."""
+    tree = ast.parse((SRC / "alivetwist" / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_twists_and_filters_import_nothing_from_each_other():
+    """The twists hold only their hooks; all four filters live in ``smc``."""
+    assert "smc" not in _relative_imports("twist")
+    assert "twist" not in _relative_imports("smc")
 
 
 def _twist():
@@ -396,6 +410,29 @@ class TestIntervalMass:
         np.testing.assert_array_equal(got, [LOG_FLOOR, LOG_FLOOR])
         assert float(near_max[0]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lo, hi", [(-0.0, math.inf), (-math.inf, 0.4), (-math.inf, math.inf)])
+    def test_infinite_end_matches_mpmath(self, lo, hi):
+        """An infinite end leaves a one-sided mass (the whole line: mass 1), with
+        no NaN from the reflected midpoint and no warning."""
+        means = np.array([-3.0, 0.0, 0.7, 12.0, -40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_interval_mass(means, 1.7, lo, hi)
+            scalar = _log_interval_mass(np.zeros(()), 1.7, lo, hi)
+        with mpmath.workdps(60):
+            sd = mpmath.sqrt(1.7)
+            for mean, value in zip(means, got):
+                mean = mpmath.mpf(mean)
+                if hi == math.inf and lo == -math.inf:
+                    mass = mpmath.mpf(1)
+                elif hi == math.inf:
+                    mass = mpmath.ncdf((mean - lo) / sd)
+                else:
+                    mass = mpmath.ncdf((hi - mean) / sd)
+                want = max(float(mpmath.log(mass)), LOG_FLOOR)
+                assert float(value) == pytest.approx(want, rel=1e-9, abs=1e-15), mean
+        assert np.ndim(scalar) == 0 and float(scalar) == float(got[1])
+
     def test_empty_input(self):
         assert _log_interval_mass(np.array([]), 1.0, -1.0, 1.0).size == 0
 
@@ -545,6 +582,12 @@ class TestTwistFactories:
         twist = random_positive_twist(4, params, stream_for(252), scale=0.5)
         assert twist.log_h_table.shape == (4, 3)
         assert np.all(np.isfinite(twist.log_h_table))
+
+    def test_acceptance_prob_twist_rejects_a_negative_lag(self):
+        """A negative lag would give h = 1 everywhere; it is rejected, as the
+        Gaussian twist and the run configs reject it."""
+        with pytest.raises(ValueError, match="lag must be nonnegative"):
+            acceptance_prob_twist(_discrete_params(), np.array([0, 2, 1]), -1)
 
     def test_acceptance_prob_twist_matches_enumeration(self):
         """h_t(k) must equal the exact probability that fresh simulations
