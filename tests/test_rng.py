@@ -1,6 +1,5 @@
 """Seeded stream derivation and categorical draw helpers."""
 
-import itertools
 import warnings
 
 import numpy as np
@@ -113,7 +112,9 @@ class TestGaussian:
 
 
 class TestCategorical:
-    """``categorical_many``'s weight checks."""
+    """Single draws: the twisted filters' guided pick from log weights
+    (``_pool_weights`` then a one-draw ``_resample``), and
+    ``categorical_many``'s weight checks."""
 
     @pytest.mark.parametrize(
         "weights",
@@ -130,6 +131,31 @@ class TestCategorical:
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy may warn as the sum overflows
             with pytest.raises(ValueError, match="invalid categorical weights"):
                 categorical_many(derive_stream(SeedSpec(9, 1)), [1e308, 1e308], 1000)
+
+    @pytest.mark.parametrize("log_weights", [
+        [-np.inf, -np.inf], [0.0, np.nan], [np.inf, 0.0], [np.nan, np.nan],
+    ])
+    def test_log_categorical_refuses_degenerate_weights(self, log_weights):
+        """All -inf, a NaN or a +inf have no finite largest weight, so the pick
+        raises ParticleDeathError at its step before any draw."""
+        with pytest.raises(ParticleDeathError) as info:
+            _pool_weights(np.array(log_weights), 4)
+        assert info.value.step == 4
+
+    @pytest.mark.parametrize("size", [1, 7, 2000])
+    def test_matches_categorical_and_logsumexp(self, size):
+        """The guided pick's index equals a one-draw ``categorical_many`` on the
+        same stream, and its total equals a log-sum-exp, with floored (the
+        twists' score floor) and -inf entries."""
+        for seed in range(20):
+            log_weights = 30.0 * stream_for(250 + size, seed).standard_normal(size)
+            log_weights[::3] = np.log(1e-300)
+            log_weights[1::5] = -np.inf
+            cdf, log_total = _pool_weights(log_weights, 0)
+            index = _resample(stream_for(251, seed), cdf, 1)[0]
+            weights = np.exp(log_weights - log_weights.max())
+            assert index == categorical_many(stream_for(251, seed), weights, 1)[0]
+            assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)
 
 
 WEIGHT_PATTERNS = [
@@ -226,20 +252,9 @@ class TestResample:
 
     def test_pool_weights_are_the_shifted_cdf_and_its_log_total(self):
         """``_pool_weights`` hands ``_resample`` the cdf of exp(log_weights -
-        max) and reads the log-sum-exp off its last entry, with floored and
-        -inf entries (the twisted filters' guided picks pass floored scores)."""
-        for size, seed in itertools.product((1, 7, 2000), range(20)):
-            log_weights = 30.0 * stream_for(250 + size, seed).standard_normal(size)
-            log_weights[1::3] = np.log(1e-300)
-            log_weights[2::5] = -np.inf
-            cdf, log_total = _pool_weights(log_weights, 0)
-            np.testing.assert_array_equal(cdf, np.cumsum(np.exp(log_weights - log_weights.max())))
-            assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)
-
-    @pytest.mark.parametrize("log_weights", [
-        [-np.inf, -np.inf], [0.0, np.nan], [np.inf, 0.0], [np.nan, np.nan],
-    ])
-    def test_pool_weights_refuse_a_pool_without_a_finite_largest_weight(self, log_weights):
-        with pytest.raises(ParticleDeathError) as info:
-            _pool_weights(np.array(log_weights), 4)
-        assert info.value.step == 4
+        max) and reads the log-sum-exp off its last entry."""
+        log_weights = 30.0 * stream_for(252).standard_normal(2000)
+        log_weights[::7] = -np.inf
+        cdf, log_total = _pool_weights(log_weights, 0)
+        np.testing.assert_array_equal(cdf, np.cumsum(np.exp(log_weights - log_weights.max())))
+        assert log_total == pytest.approx(_logsumexp1d(log_weights), rel=0, abs=1e-12)
