@@ -78,8 +78,8 @@ class DiscreteBallKernel:
     """Acceptance-table kernel over a finite observation alphabet.
 
     acceptance[y, u] is True when simulated symbol u is accepted for recorded
-    symbol y; this mirrors the table inside the finite-state oracle model so
-    filter output can be compared against the exact forward recursion.
+    symbol y.  This is the finite-state family's only acceptance table: its
+    exact oracle and table twists read it through the kernel they are given.
     """
 
     acceptance: np.ndarray

@@ -87,27 +87,20 @@ class StochasticVolatilityParams:
 
 @dataclass(frozen=True)
 class DiscreteHmmParams:
-    """Finite-state chain with finite observation alphabet.
-
-    acceptance[y, u] says whether simulated symbol u is accepted when the
-    recorded observation is y (the finite-alphabet analogue of a tolerance
-    ball around y).
-    """
+    """Finite-state chain with finite observation alphabet.  The acceptance
+    table is the kernel's (``kernels.DiscreteBallKernel``), passed alongside."""
 
     initial: np.ndarray
     transition: np.ndarray
     emission: np.ndarray
-    acceptance: np.ndarray
 
     def __post_init__(self) -> None:
         initial = np.asarray(self.initial, dtype=float)
         transition = np.asarray(self.transition, dtype=float)
         emission = np.asarray(self.emission, dtype=float)
-        acceptance = np.asarray(self.acceptance, dtype=bool)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "emission", emission)
-        object.__setattr__(self, "acceptance", acceptance)
         n_states = initial.shape[0]
         if initial.ndim != 1:
             raise ValueError("initial must be a probability vector")
@@ -115,9 +108,6 @@ class DiscreteHmmParams:
             raise ValueError("transition must be square and match the state count")
         if emission.ndim != 2 or emission.shape[0] != n_states:
             raise ValueError("emission must have one row per state")
-        n_obs = emission.shape[1]
-        if acceptance.shape != (n_obs, n_obs):
-            raise ValueError("acceptance must be square over the observation alphabet")
         for name, rows in (("initial", initial[None, :]), ("transition", transition), ("emission", emission)):
             if np.any(rows < 0) or not np.allclose(rows.sum(axis=1), 1.0, atol=1e-10):
                 raise ValueError(f"{name} rows must be probability vectors")
@@ -254,7 +244,7 @@ def discrete_model(params: DiscreteHmmParams) -> HmmModel:
     def _row_categorical(rows, stream):
         cum = np.cumsum(rows, axis=1)
         u = stream.random(rows.shape[0]) * cum[:, -1]
-        return np.minimum((cum < u[:, None]).sum(axis=1), rows.shape[1] - 1).astype(np.int64)
+        return np.minimum((cum <= u[:, None]).sum(axis=1), rows.shape[1] - 1).astype(np.int64)
 
     def init_state_sampler(stream, size):
         return categorical_many(stream, params.initial, size)
@@ -393,19 +383,26 @@ def kalman_log_marginal(params: LinearGaussianParams, observations) -> float:
     return loglik
 
 
-def discrete_abc_log_marginal(params: DiscreteHmmParams, observations) -> float:
+def discrete_accept_masses(params: DiscreteHmmParams, kernel, observations) -> np.ndarray:
+    """(steps, n_states) masses: entry [t, s] is the probability that a symbol
+    freshly simulated at state s passes ``kernel`` for observation t."""
+    symbols = np.arange(params.emission.shape[1])
+    rows = [params.emission @ kernel.weights(symbols, y) for y in np.asarray(observations)]
+    return np.array(rows).reshape(-1, params.n_states)
+
+
+def discrete_abc_log_marginal(params: DiscreteHmmParams, kernel, observations) -> float:
     """Exact log acceptance-smeared marginal for the finite-state model.
 
-    Each step contributes the probability mass that a freshly simulated
-    symbol lands in the acceptance set of the recorded one, i.e. the exact
-    quantity the accept/reject filters estimate.  Returns -inf when some
-    observation has zero reachable acceptance mass.
+    Step t contributes the mass that a freshly simulated symbol passes
+    ``kernel`` for the recorded one (row t of :func:`discrete_accept_masses`),
+    the exact quantity the accept/reject filters estimate with that kernel.
+    Returns -inf when some observation has zero reachable acceptance mass.
     """
-    mass = params.emission @ params.acceptance.T.astype(float)  # mass[s, y]
     p = params.initial @ params.transition
     loglik = 0.0
-    for y in np.asarray(observations):
-        f = p * mass[:, int(y)]
+    for mass in discrete_accept_masses(params, kernel, observations):
+        f = p * mass
         total = f.sum()
         if total <= 0.0:
             return float("-inf")

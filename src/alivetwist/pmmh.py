@@ -196,7 +196,8 @@ def pmmh_step(state: PmmhState, run_filter, log_prior_fn, propose_fn,
     if not log_prior > float("-inf"):
         return state, StepInfo(False, False, float("-inf"))
     log_offset = log_prior - state.log_prior + log_correction
-    needed = math.log(stream.random()) - log_offset + state.log_zhat
+    u = stream.random()  # log 0 is -inf: any finite estimate then clears the test
+    needed = (math.log(u) if u > 0.0 else -math.inf) - log_offset + state.log_zhat
     try:
         with rejection_floor(needed):
             _, estimate = run_filter(proposed, stream)

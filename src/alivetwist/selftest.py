@@ -101,31 +101,32 @@ def check_stopping_time_mean(master_seed: int, reps: int) -> CheckResult:
 
 def toy_discrete_instance(master_seed: int, steps: int = 5,
                           acceptance: Optional[np.ndarray] = None):
-    """A seeded random three-state, three-symbol instance plus one simulated record."""
+    """A seeded random three-state, three-symbol instance, its kernel and one
+    simulated record: (params, kernel, model, observations).  The kernel's
+    table is ``acceptance``, or a random one that accepts each symbol itself."""
     stream = derive_stream(SeedSpec(master_seed, 0))
     initial = stream.dirichlet(np.ones(3))
     transition = stream.dirichlet(np.ones(3), size=3)
     emission = stream.dirichlet(np.ones(3), size=3)
     if acceptance is None:
         acceptance = np.eye(3, dtype=bool) | (stream.random((3, 3)) < 0.4)
-    params = DiscreteHmmParams(initial, transition, emission, acceptance)
+    params = DiscreteHmmParams(initial, transition, emission)
     model = discrete_model(params)
     _, observations = simulate(model, steps, derive_stream(SeedSpec(master_seed, 1)))
-    return params, model, observations.astype(np.int64)
+    return params, DiscreteBallKernel(acceptance), model, observations.astype(np.int64)
 
 
 def check_discrete_unbiasedness(master_seed: int, reps: int) -> CheckResult:
     """Both alive filters hit the exact finite-state acceptance marginal."""
-    params, model, observations = toy_discrete_instance(master_seed)
-    kernel = DiscreteBallKernel(params.acceptance)
-    target = float(np.exp(discrete_abc_log_marginal(params, observations)))
+    params, kernel, model, observations = toy_discrete_instance(master_seed)
+    target = float(np.exp(discrete_abc_log_marginal(params, kernel, observations)))
     steps = observations.size
     twists = {
         "constant": constant_twist(steps, params),
         "random-positive": random_positive_twist(
             steps, params, derive_stream(SeedSpec(master_seed, 2))
         ),
-        "acceptance-prob": acceptance_prob_twist(params, observations, lag=2),
+        "acceptance-prob": acceptance_prob_twist(params, kernel, observations, lag=2),
     }
     cases = [("alive: mean {mean:.5f} vs {target:.5f}",
               partial(_estimate, "alive", model, kernel, None, observations, 20),
@@ -146,12 +147,12 @@ def check_optimal_twist_exact(master_seed: int, instances: int) -> CheckResult:
     """
     worst = 0.0
     for seed in range(master_seed, master_seed + instances):
-        params, model, observations = toy_discrete_instance(seed, steps=8)
-        twist = acceptance_prob_twist(params, observations, lag=observations.size)
-        truth = discrete_abc_log_marginal(params, observations)
+        params, kernel, model, observations = toy_discrete_instance(seed, steps=8)
+        twist = acceptance_prob_twist(params, kernel, observations, lag=observations.size)
+        truth = discrete_abc_log_marginal(params, kernel, observations)
         for n_particles in (2, 5, 20):
             _, estimate = alive_twisted_filter(
-                model, DiscreteBallKernel(params.acceptance), twist, observations, n_particles,
+                model, kernel, twist, observations, n_particles,
                 stream=derive_stream(SeedSpec(seed, 20 + n_particles)),
             )
             worst = max(worst, abs(estimate.log_total - truth))
@@ -222,12 +223,11 @@ def check_grid_posterior(master_seed: int, iterations: int, tolerance: float) ->
     occupancy must reproduce it.  The prior is chosen from the exact
     marginals so that the posterior is ``_GRID_POSTERIOR``.
     """
-    params_a, _, observations = toy_discrete_instance(master_seed, steps=4)
-    params_b, _, _ = toy_discrete_instance(master_seed + 1, steps=4,
-                                           acceptance=params_a.acceptance)
+    params_a, kernel, _, observations = toy_discrete_instance(master_seed, steps=4)
+    params_b, _, _, _ = toy_discrete_instance(master_seed + 1, steps=4,
+                                              acceptance=kernel.acceptance)
     grid = [params_a, params_b]
-    kernel = DiscreteBallKernel(params_a.acceptance)
-    log_marginals = np.array([discrete_abc_log_marginal(p, observations) for p in grid])
+    log_marginals = np.array([discrete_abc_log_marginal(p, kernel, observations) for p in grid])
     prior = _GRID_POSTERIOR * np.exp(log_marginals.min() - log_marginals)
     prior /= prior.sum()
     weights = prior * np.exp(log_marginals - log_marginals.max())

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import _LOG_TWO_PI, DiscreteHmmParams
+from .models import _LOG_TWO_PI, DiscreteHmmParams, discrete_accept_masses
 from .rng import categorical_many
 
 LOG_FLOOR = float(np.log(1e-300))
@@ -354,8 +354,7 @@ class DiscreteTableTwist:
         """log of the next state's h times its exact acceptance probability,
         averaged over the next-state law."""
         t = self._step(y_window)
-        mask = kernel.weights(np.arange(self.params.emission.shape[1]), np.asarray(y_window)[0])
-        accept = self.params.emission @ mask
+        accept = discrete_accept_masses(self.params, kernel, y_window[:1])[0]
         values = self._next_state_law(t, k) @ (accept * self._h[t])
         return np.log(np.maximum(values, np.exp(LOG_FLOOR)))
 
@@ -371,24 +370,24 @@ def random_positive_twist(steps: int, params: DiscreteHmmParams,
     return DiscreteTableTwist(scale * stream.standard_normal((steps, params.n_states)), params)
 
 
-def acceptance_prob_twist(params: DiscreteHmmParams, observations, lag: int) -> DiscreteTableTwist:
+def acceptance_prob_twist(params: DiscreteHmmParams, kernel, observations,
+                          lag: int) -> DiscreteTableTwist:
     """Twist by the probability of accepting the next ``lag`` observations.
 
     h_t(k) is the exact probability that fresh simulations from state k pass
-    the acceptance table for observations t+1 .. t+lag (truncated at the end
-    of the record), computed by backward induction — the natural guidance
-    target for accept/reject filters.
+    ``kernel`` for observations t+1 .. t+lag (truncated at the end of the
+    record), by backward induction over ``models.discrete_accept_masses`` —
+    the natural guidance target for accept/reject filters.
     """
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
-    observations = np.asarray(observations)
-    steps = observations.size
-    mass = params.emission @ params.acceptance.T.astype(float)
+    masses = discrete_accept_masses(params, kernel, observations)
+    steps = len(masses)
     table = np.ones((steps, params.n_states))
     for t in range(steps):
         horizon = min(lag, steps - 1 - t)
         value = np.ones(params.n_states)
         for s in range(t + horizon, t, -1):
-            value = params.transition @ (mass[:, int(observations[s])] * value)
+            value = params.transition @ (masses[s] * value)
         table[t] = value
     return DiscreteTableTwist(np.log(np.maximum(table, 1e-300)), params)

@@ -20,7 +20,7 @@ from alivetwist import (
 from alivetwist.models import norm_logpdf
 from alivetwist.twist import ar1_lookahead_variance, lg_twist, sv_twist
 
-from helpers import stream_for
+from helpers import ScriptedStream, stream_for
 
 
 class TestParamValidation:
@@ -54,7 +54,6 @@ class TestParamValidation:
             initial=[0.5, 0.5],
             transition=[[0.9, 0.1], [0.2, 0.8]],
             emission=[[0.7, 0.3], [0.4, 0.6]],
-            acceptance=np.eye(2, dtype=bool),
         )
         assert good.n_states == 2
         with pytest.raises(ValueError):
@@ -62,14 +61,6 @@ class TestParamValidation:
                 initial=[0.5, 0.5],
                 transition=[[0.9, 0.2], [0.2, 0.8]],
                 emission=[[0.7, 0.3], [0.4, 0.6]],
-                acceptance=np.eye(2, dtype=bool),
-            )
-        with pytest.raises(ValueError):
-            DiscreteHmmParams(
-                initial=[0.5, 0.5],
-                transition=[[0.9, 0.1], [0.2, 0.8]],
-                emission=[[0.7, 0.3], [0.4, 0.6]],
-                acceptance=np.eye(3, dtype=bool),
             )
 
 
@@ -187,7 +178,7 @@ class TestStochasticVolatilityModel:
 
 def test_only_the_volatility_model_has_the_noise_hook():
     lg = lg_model(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0))
-    params = DiscreteHmmParams(np.array([1.0]), np.eye(1), np.eye(1), np.eye(1, dtype=bool))
+    params = DiscreteHmmParams(np.array([1.0]), np.eye(1), np.eye(1))
     for model in (lg, discrete_model(params)):
         assert model.observation_noise is None and model.observe is None
 
@@ -198,7 +189,6 @@ class TestDiscreteModel:
             initial=[0.6, 0.3, 0.1],
             transition=[[0.8, 0.1, 0.1], [0.3, 0.4, 0.3], [0.05, 0.15, 0.8]],
             emission=[[0.9, 0.1, 0.0], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]],
-            acceptance=np.eye(3, dtype=bool),
         )
 
     def test_init_sampler_frequencies(self):
@@ -226,6 +216,18 @@ class TestDiscreteModel:
         assert not np.any(draws == 2)  # emission[0, 2] == 0
         observed = (draws == 0).mean()
         assert abs(observed - 0.9) < 4 * np.sqrt(0.9 * 0.1 / draws.size)
+
+    def test_a_zero_uniform_skips_a_leading_zero_mass_entry(self):
+        """u = 0 sits on the cdf's leading 0 and picks the first entry with
+        mass, as ``rng.categorical_many`` does, never the zero-mass one."""
+        params = DiscreteHmmParams(initial=[0.5, 0.5], transition=[[0.0, 1.0], [0.5, 0.5]],
+                                   emission=[[0.0, 1.0], [0.5, 0.5]])
+        model = discrete_model(params)
+        origin = np.zeros(1, dtype=np.int64)
+        for sampler in (model.transition_sampler, model.observation_sampler):
+            stream = ScriptedStream(uniforms=[0.0])
+            np.testing.assert_array_equal(sampler(origin, stream), [1])
+            assert stream.exhausted()
 
 
 class TestSimulate:

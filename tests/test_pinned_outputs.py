@@ -62,7 +62,6 @@ import pytest
 from alivetwist import (
     DEFAULT_TRIAL_CAP,
     AbcKernel,
-    DiscreteBallKernel,
     LinearGaussianParams,
     StochasticVolatilityParams,
     acceptance_prob_twist,
@@ -137,9 +136,9 @@ def test_alive_twisted_on_a_volatility_record():
 
 
 def test_alive_twisted_on_discrete_data():
-    params, model, observations = toy_discrete_instance(904, steps=8)
+    params, kernel, model, observations = toy_discrete_instance(904, steps=8)
     _, estimate = alive_twisted_filter(
-        model, DiscreteBallKernel(params.acceptance), acceptance_prob_twist(params, observations, 2),
+        model, kernel, acceptance_prob_twist(params, kernel, observations, 2),
         observations, 15, stream=stream_for(904, 1),
     )
     assert estimate.log_total == pytest.approx(-0.9714568701355968, abs=1e-12)

@@ -184,6 +184,22 @@ class TestPmmhStep:
         assert info.log_ratio == pytest.approx(-5.0)
         assert state is before
 
+    def test_a_zero_uniform_accepts_without_a_floor_stop(self):
+        """u = 0 (probability 2**-53 a draw) reads as log u = -inf: the filter
+        runs under a floor of -inf, which stops nothing, and any finite
+        estimate clears it, where log(0) would have raised."""
+        floors = []
+
+        def run(theta, stream):
+            floors.append(smc._REJECTION_FLOOR.get())
+            return _stub_filter(-50.0)(theta, stream)
+
+        stream = ScriptedStream(uniforms=[0.0])
+        state, info = pmmh_step(self._state(), run, lambda t: 0.0, lambda t, s: (1, 0.0), stream)
+        assert stream.exhausted()
+        assert floors == [float("-inf")]
+        assert info.accepted and state.theta == 1 and state.log_zhat == -50.0
+
     def test_cap_counts_as_rejection(self):
         def run(theta, stream):
             raise StoppingTimeCapError(3, 10, 0, 5, 10)

@@ -61,8 +61,10 @@ def _discrete_params():
         initial=[0.5, 0.3, 0.2],
         transition=[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]],
         emission=[[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
-        acceptance=np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool),
     )
+
+
+_DISCRETE_KERNEL = DiscreteBallKernel(np.array([[1, 1, 0], [0, 1, 0], [0, 1, 1]], dtype=bool))
 
 
 def _window(seed=230, size=6):
@@ -494,7 +496,7 @@ class TestDiscreteTableTwist:
         with pytest.raises(ValueError):
             twist.log_h(np.arange(5), np.array([0]))
         with pytest.raises(ValueError):
-            twist.log_qh_alive(np.arange(2), None, DiscreteBallKernel(twist.params.acceptance))
+            twist.log_qh_alive(np.arange(2), None, _DISCRETE_KERNEL)
         with pytest.raises(ValueError):
             twist.propose_guided_states(None, np.arange(2), stream_for(253), 1)
 
@@ -502,9 +504,9 @@ class TestDiscreteTableTwist:
         params = self._params()
         table = stream_for(247).normal(size=(3, 3))
         twist = DiscreteTableTwist(table, params)
-        kernel = DiscreteBallKernel(params.acceptance)
+        kernel = _DISCRETE_KERNEL
         window = np.array([1, 0, 2])
-        mask = params.acceptance[1].astype(float)
+        mask = kernel.acceptance[1].astype(float)
         masked_h = (params.emission @ mask) * np.exp(table[0])
         want = np.log(params.transition @ masked_h)
         np.testing.assert_allclose(
@@ -556,9 +558,9 @@ class TestDiscreteTableTwist:
         """Rejection-drawn guided pairs against the exact lattice law."""
         params = self._params()
         twist = DiscreteTableTwist(stream_for(250).normal(size=(2, 3)), params)
-        kernel = DiscreteBallKernel(params.acceptance)
+        kernel = _DISCRETE_KERNEL
         window = np.array([2, 1])
-        mask = params.acceptance[2].astype(float)
+        mask = kernel.acceptance[2].astype(float)
         masked_h = (params.emission @ mask) * twist._h[0]
         lattice = params.transition[0] * masked_h
         lattice = lattice / lattice.sum()
@@ -587,7 +589,7 @@ class TestTwistFactories:
         """A negative lag would give h = 1 everywhere; it is rejected, as the
         Gaussian twist and the run configs reject it."""
         with pytest.raises(ValueError, match="lag must be nonnegative"):
-            acceptance_prob_twist(_discrete_params(), np.array([0, 2, 1]), -1)
+            acceptance_prob_twist(_discrete_params(), _DISCRETE_KERNEL, np.array([0, 2, 1]), -1)
 
     def test_acceptance_prob_twist_matches_enumeration(self):
         """h_t(k) must equal the exact probability that fresh simulations
@@ -595,8 +597,8 @@ class TestTwistFactories:
         params = _discrete_params()
         observations = np.array([0, 2, 1, 1])
         lag = 2
-        twist = acceptance_prob_twist(params, observations, lag)
-        mass = params.emission @ params.acceptance.T.astype(float)
+        twist = acceptance_prob_twist(params, _DISCRETE_KERNEL, observations, lag)
+        mass = params.emission @ _DISCRETE_KERNEL.acceptance.T.astype(float)
         n = params.n_states
         for t in range(4):
             horizon = min(lag, 3 - t)

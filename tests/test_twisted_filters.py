@@ -12,7 +12,6 @@ from scipy.special import logsumexp
 
 from alivetwist import (
     AbcKernel,
-    DiscreteBallKernel,
     LinearGaussianParams,
     ParticleDeathError,
     StoppingTimeCapError,
@@ -426,9 +425,8 @@ class TestResamplingRule:
 
 class TestAliveTwistedDiscrete:
     def test_unbiased_with_constant_and_random_twists(self):
-        params, model, observations = toy_discrete_instance(284)
-        kernel = DiscreteBallKernel(params.acceptance)
-        truth = math.exp(discrete_abc_log_marginal(params, observations))
+        params, kernel, model, observations = toy_discrete_instance(284)
+        truth = math.exp(discrete_abc_log_marginal(params, kernel, observations))
         steps = observations.size
         for name, twist in (
             ("constant", constant_twist(steps, params)),
@@ -455,10 +453,9 @@ class TestOptimalTwist:
     @pytest.mark.parametrize("n_particles", [2, 5, 20])
     def test_estimate_is_the_marginal_to_rounding(self, n_particles):
         for seed in range(1, 11):
-            params, model, observations = toy_discrete_instance(seed, steps=8)
-            twist = acceptance_prob_twist(params, observations, lag=observations.size)
-            truth = discrete_abc_log_marginal(params, observations)
-            kernel = DiscreteBallKernel(params.acceptance)
+            params, kernel, model, observations = toy_discrete_instance(seed, steps=8)
+            twist = acceptance_prob_twist(params, kernel, observations, lag=observations.size)
+            truth = discrete_abc_log_marginal(params, kernel, observations)
             for rep in range(3):
                 _, estimate = alive_twisted_filter(model, kernel, twist, observations,
                                                    n_particles, stream=stream_for(295 + seed, rep))
@@ -510,9 +507,8 @@ class TestTwistProtocol:
         ):
             assert (run(HooksOnly(twist, hooks), stream_for(289))[1].log_total
                     == run(twist, stream_for(289))[1].log_total)
-        params, discrete, symbols = toy_discrete_instance(284)
+        params, ball, discrete, symbols = toy_discrete_instance(284)
         table = random_positive_twist(symbols.size, params, stream_for(290), scale=0.7)
-        ball = DiscreteBallKernel(params.acceptance)
         wrapped = alive_twisted_filter(
             discrete, ball, HooksOnly(table, ALIVE_HOOKS), symbols, 15, stream=stream_for(291)
         )
