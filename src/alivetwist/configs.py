@@ -1,6 +1,8 @@
 """JSON run-configuration parsing for the command-line tools.
 
-Configurations are plain JSON objects with named sections; every parser here
+Configurations are plain JSON objects with named sections.  Each section is
+read off the fields of one dataclass: a field's annotated type says how its
+key is read, and its default, if any, makes the key optional.  Every parser
 validates eagerly and raises ConfigError with the offending key so the CLI
 can fail with a usage error instead of a traceback.
 """
@@ -9,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, List, Optional, get_type_hints
 
 from .kernels import AbcKernel
 from .models import (
@@ -52,31 +54,60 @@ def _section(config: dict, name: str) -> dict:
     return section
 
 
-def _number(section: dict, key: str, default=None, required: bool = False) -> Optional[float]:
+def _value(section: dict, key: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    value = section[key]
+        raise ConfigError(f"missing required key '{key}'")
+    return section[key]
+
+
+def _number(section: dict, key: str) -> float:
+    value = _value(section, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(section: dict, key: str, default=None, required: bool = False) -> Optional[int]:
-    value = _number(section, key, default, required)
-    if value is None:
-        return None
+def _integer(section: dict, key: str) -> int:
+    value = _number(section, key)
     if value != int(value):
         raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
     return int(value)
+
+
+def _positive_list(section: dict, key: str) -> List[float]:
+    values = section.get(key)
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf for v in values
+    ):
+        raise ConfigError(f"key '{key}' must be a list of positive finite numbers")
+    return [float(v) for v in values]
+
+
+# annotated field type: reader of the field's key
+_READERS = {float: _number, int: _integer, Optional[int]: _integer, str: _value,
+            List[float]: _positive_list}
+
+
+def _read(cls, section: dict):
+    """The dataclass ``cls`` built from ``section``, one key per field.
+
+    Each key is read by its field's annotated type; a key left out takes the
+    field's default, and a field without one is required.
+    """
+    types = get_type_hints(cls)
+    return cls(**{
+        field.name: _READERS[types[field.name]](section, field.name)
+        for field in fields(cls)
+        if field.name in section or field.default is MISSING
+    })
 
 
 def parse_simulate_steps(config: dict) -> Optional[int]:
     """'simulate.steps', or None when the config has no 'simulate' section."""
     if "simulate" not in config:
         return None
-    return _integer(_section(config, "simulate"), "steps")
+    section = _section(config, "simulate")
+    return _integer(section, "steps") if "steps" in section else None
 
 
 def parse_model(config: dict):
@@ -84,20 +115,10 @@ def parse_model(config: dict):
     section = _section(config, "model")
     kind = section.get("kind")
     if kind == "linear_gaussian":
-        return LinearGaussianParams(
-            phi=_number(section, "phi", required=True),
-            nu2=_number(section, "nu2", required=True),
-            tau2=_number(section, "tau2", required=True),
-        )
+        return _read(LinearGaussianParams, section)
     if kind == "stochastic_volatility":
-        return StochasticVolatilityParams(
-            F=_number(section, "F", required=True),
-            nu2=_number(section, "nu2", required=True),
-            alpha=_number(section, "alpha", required=True),
-            beta=_number(section, "beta", 0.0),
-            gamma=_number(section, "gamma", required=True),
-            delta=_number(section, "delta", 0.0),
-        )
+        # beta is a required argument of the parameter class, optional in a config
+        return _read(StochasticVolatilityParams, {"beta": 0.0, **section})
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -140,25 +161,25 @@ FILTERS = {  # CLI name: (runner, uses_kernel, twisted)
 }
 
 
-def parse_kernel(config: dict) -> AbcKernel:
-    section = _section(config, "kernel")
+def _as_config_error(build, *args):
+    """``build(*args)``, with a kernel's ValueError raised as a ConfigError."""
     try:
-        return AbcKernel(
-            epsilon=_number(section, "epsilon", required=True),
-            mode=section.get("mode", "relative"),
-            relative_floor=_number(section, "relative_floor", 1e-8),
-        )
+        return build(*args)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
-@dataclass(frozen=True)
+def parse_kernel(config: dict) -> AbcKernel:
+    return _as_config_error(_read, AbcKernel, _section(config, "kernel"))
+
+
+@dataclass(frozen=True, kw_only=True)
 class FilterConfig:
     """The sizes every filter run needs; the base of the driver configs."""
 
     n_particles: int
-    cap: int
-    lag: int
+    cap: int = DEFAULT_TRIAL_CAP
+    lag: int = 0
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
@@ -169,30 +190,22 @@ class FilterConfig:
             raise ConfigError(f"lag must be nonnegative, got {self.lag}")
 
 
-def _filter_sizes(section: dict, default_lag: int) -> dict:
-    """The FilterConfig keys of ``section``, with the command's lag default."""
-    return dict(
-        n_particles=_integer(section, "n_particles", required=True),
-        cap=_integer(section, "cap", DEFAULT_TRIAL_CAP),
-        lag=_integer(section, "lag", default_lag),
-    )
-
-
 def parse_filter(config: dict) -> FilterConfig:
-    return FilterConfig(**_filter_sizes(_section(config, "filter"), default_lag=0))
+    return _read(FilterConfig, _section(config, "filter"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GridConfig(FilterConfig):
     """Variance-comparison sweep over latent/observation noise scales."""
 
+    lag: int = 5
     phi: float
     nu2_values: List[float]
     tau2_values: List[float]
     replicates: int
     steps: int
     epsilon: float
-    mode: str
+    mode: str = "relative"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -202,40 +215,26 @@ class GridConfig(FilterConfig):
             raise ConfigError("nu2_values and tau2_values must be nonempty")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
+        _as_config_error(AbcKernel, self.epsilon, self.mode)
 
 
 def parse_grid(config: dict) -> GridConfig:
-    section = _section(config, "grid")
-    for key in ("nu2_values", "tau2_values"):
-        values = section.get(key)
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf for v in values
-        ):
-            raise ConfigError(f"key '{key}' must be a list of positive finite numbers")
-    return GridConfig(
-        **_filter_sizes(section, default_lag=5),
-        phi=_number(section, "phi", required=True),
-        nu2_values=[float(v) for v in section["nu2_values"]],
-        tau2_values=[float(v) for v in section["tau2_values"]],
-        replicates=_integer(section, "replicates", required=True),
-        steps=_integer(section, "steps", required=True),
-        epsilon=_number(section, "epsilon", required=True),
-        mode=section.get("mode", "relative"),
-    )
+    return _read(GridConfig, _section(config, "grid"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PmmhConfig(FilterConfig):
     """One posterior-sampling run for the volatility model."""
 
+    lag: int = 5
     iterations: int
     epsilon: float
     alpha: float
-    beta: float
-    delta: float
-    burn_in_fraction: float
-    acf_max_lag: int
-    mode: str
+    beta: float = 0.0
+    delta: float = 0.0
+    burn_in_fraction: float = 0.1
+    acf_max_lag: int = 50
+    mode: str = "relative"
     steps: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -248,6 +247,7 @@ class PmmhConfig(FilterConfig):
             raise ConfigError("acf_max_lag must be positive")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps must be positive when given")
+        _as_config_error(AbcKernel, self.epsilon, self.mode)
 
     @property
     def burn_in(self) -> int:
@@ -255,16 +255,4 @@ class PmmhConfig(FilterConfig):
 
 
 def parse_pmmh(config: dict) -> PmmhConfig:
-    section = _section(config, "pmmh")
-    return PmmhConfig(
-        **_filter_sizes(section, default_lag=5),
-        iterations=_integer(section, "iterations", required=True),
-        epsilon=_number(section, "epsilon", required=True),
-        alpha=_number(section, "alpha", required=True),
-        beta=_number(section, "beta", 0.0),
-        delta=_number(section, "delta", 0.0),
-        burn_in_fraction=_number(section, "burn_in_fraction", 0.1),
-        acf_max_lag=_integer(section, "acf_max_lag", 50),
-        mode=section.get("mode", "relative"),
-        steps=_integer(section, "steps"),
-    )
+    return _read(PmmhConfig, _section(config, "pmmh"))

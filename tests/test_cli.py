@@ -344,6 +344,8 @@ class TestVarianceGrid:
         ({"n_particles": 1}, "n_particles must be at least 2"),
         ({"cap": 9}, "cap must be at least n_particles"),
         ({"lag": -1}, "lag must be nonnegative"),
+        ({"epsilon": -1}, "epsilon must be positive and finite, got -1.0"),
+        ({"mode": "fuzzy"}, "mode must be 'relative' or 'absolute', got 'fuzzy'"),
     ])
     def test_bad_filter_sizes_exit_1_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                      overrides, message):
@@ -444,15 +446,24 @@ class TestPmmh:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["steps"] == 5
 
-    @pytest.mark.parametrize("algo", ["alive", "alive-twisted"])
+    @pytest.mark.parametrize("algo, overrides, message", [
+        pytest.param(algo, overrides, message, id=algo + suffix)
+        for algo in ("alive", "alive-twisted")
+        for overrides, message, suffix in [
+            ({"n_particles": 20, "cap": 15}, "cap must be at least n_particles", ""),
+            ({"epsilon": -1}, "epsilon must be positive and finite, got -1.0", "-epsilon"),
+            ({"mode": "fuzzy"}, "mode must be 'relative' or 'absolute', got 'fuzzy'", "-mode"),
+        ]
+    ])
     def test_cap_below_n_particles_exits_1_before_any_run(self, tmp_path, sv_config, monkeypatch,
-                                                          capsys, algo):
+                                                          capsys, algo, overrides, message):
+        """A bad filter size or kernel is refused before the chain starts."""
         data = self._data(tmp_path, sv_config)
         monkeypatch.setattr(cli, "run_sv_pmmh", _never_called)
-        config = self._config(tmp_path, n_particles=20, cap=15)
+        config = self._config(tmp_path, **overrides)
         assert cli.main(["pmmh", "--algo", algo, "--config", config, "--data", data,
                          "--out-dir", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "alivetwist: error: cap must be at least n_particles\n"
+        assert capsys.readouterr().err == f"alivetwist: error: {message}\n"
 
     def test_chain_that_cannot_start_aborts_with_exit_3(self, tmp_path, sv_config, capsys):
         """Every prior draw caps out at an unreachable tolerance: the chain

@@ -1,6 +1,8 @@
 """JSON configuration parsing and validation."""
 
 import json
+import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -23,6 +25,43 @@ from alivetwist.configs import (
 from alivetwist.kernels import AbcKernel
 from alivetwist.models import LinearGaussianParams, StochasticVolatilityParams, lg_model
 from alivetwist.rng import SeedSpec, derive_stream
+
+from helpers import SRC
+
+# Each section's dataclass: (section name, fixed keys, parser, a valid
+# non-default value for every field).
+SCHEMAS = {
+    LinearGaussianParams: ("model", {"kind": "linear_gaussian"}, parse_model,
+                           dict(phi=0.7, nu2=2.0, tau2=0.5)),
+    StochasticVolatilityParams: ("model", {"kind": "stochastic_volatility"}, parse_model,
+                                 dict(F=0.8, nu2=0.02, alpha=1.7, beta=0.3, gamma=0.4, delta=0.1)),
+    AbcKernel: ("kernel", {}, parse_kernel,
+                dict(epsilon=0.7, mode="absolute", relative_floor=1e-3)),
+    FilterConfig: ("filter", {}, parse_filter, dict(n_particles=8, cap=80, lag=3)),
+    GridConfig: ("grid", {}, parse_grid, dict(
+        n_particles=30, cap=500, lag=3, phi=0.8, nu2_values=[0.5, 2.0], tau2_values=[1.5],
+        replicates=4, steps=12, epsilon=2.5, mode="absolute")),
+    PmmhConfig: ("pmmh", {}, parse_pmmh, dict(
+        n_particles=40, cap=4000, lag=2, iterations=20, epsilon=1.5, alpha=1.8, beta=0.2,
+        delta=0.1, burn_in_fraction=0.25, acf_max_lag=7, mode="absolute", steps=30)),
+}
+# a default a config section has that its dataclass does not
+CONFIG_DEFAULTS = {(StochasticVolatilityParams, "beta"): 0.0}
+
+
+def _default(cls, field):
+    return CONFIG_DEFAULTS.get((cls, field.name), field.default)
+
+
+FIELDS = [pytest.param(cls, field, id=f"{cls.__name__}.{field.name}")
+          for cls in SCHEMAS for field in fields(cls)]
+DEFAULTED = [param for param in FIELDS if _default(*param.values) is not MISSING]
+REQUIRED = [param for param in FIELDS if _default(*param.values) is MISSING]
+
+
+def _parse(cls, values: dict):
+    name, fixed, parse, _ = SCHEMAS[cls]
+    return parse({name: {**fixed, **values}})
 
 
 class TestLoadConfig:
@@ -243,3 +282,63 @@ class TestParsePmmh:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="alpha"):
             parse_pmmh({"pmmh": {"iterations": 10, "n_particles": 5, "epsilon": 1.0}})
+
+
+class TestReadRoundTrip:
+    """Every section is read off its dataclass's fields."""
+
+    @pytest.mark.parametrize("cls", SCHEMAS, ids=lambda cls: cls.__name__)
+    def test_every_field_set_parses_to_an_equal_object(self, cls):
+        values = SCHEMAS[cls][3]
+        assert sorted(values) == sorted(field.name for field in fields(cls))
+        assert all(values[field.name] != _default(cls, field) for field in fields(cls))
+        parsed = _parse(cls, values)
+        assert parsed == cls(**values)
+        assert all(type(getattr(parsed, k)) is type(v) for k, v in values.items())
+
+    @pytest.mark.parametrize("cls, field", DEFAULTED)
+    def test_left_out_key_takes_the_default(self, cls, field):
+        values = {k: v for k, v in SCHEMAS[cls][3].items() if k != field.name}
+        assert getattr(_parse(cls, values), field.name) == _default(cls, field)
+
+    @pytest.mark.parametrize("cls, field", REQUIRED)
+    def test_left_out_required_key_is_named(self, cls, field):
+        values = {k: v for k, v in SCHEMAS[cls][3].items() if k != field.name}
+        with pytest.raises(ConfigError, match=f"'{field.name}'"):
+            _parse(cls, values)
+
+
+def _readme_keys() -> dict:
+    """README's "Sections and their keys" bullets as one line each, keyed by
+    the dataclass each bullet describes."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Sections and their keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = {}
+    for bullet in re.split(r"^- ", block, flags=re.M)[1:]:
+        name, _, keys = " ".join(bullet.split()).partition(": ")
+        bullets[name.strip("`")] = keys
+    linear, _, volatility = bullets["model"].partition("`stochastic_volatility`")
+    return {LinearGaussianParams: linear, StochasticVolatilityParams: volatility,
+            AbcKernel: bullets["kernel"], FilterConfig: bullets["filter"],
+            GridConfig: bullets["grid"], PmmhConfig: bullets["pmmh"]}
+
+
+class TestReadmeKeys:
+    """README's key lists name each field and show each default."""
+
+    @pytest.mark.parametrize("cls, field", FIELDS)
+    def test_field_is_listed_with_its_default(self, cls, field):
+        keys = _readme_keys()[cls]
+        assert f"`{field.name}`" in keys
+        shown = re.search(
+            rf"`{field.name}` = (`[^`]+`|the whole record|[-+.\deE]+?)(?=[,;) ]|\.?$)", keys
+        )
+        default = _default(cls, field)
+        if default is MISSING:
+            assert shown is None
+        elif default is None:
+            assert shown is not None and shown[1] == "the whole record"
+        else:
+            assert shown is not None
+            text = shown[1]
+            assert (json.loads(text.strip("`")) if text.startswith("`") else float(text)) == default
