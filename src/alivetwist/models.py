@@ -169,9 +169,26 @@ def simulate(model: HmmModel, steps: int, stream: np.random.Generator):
 
 
 def norm_logpdf(x, mean, var):
-    """Log density of N(mean, var); var must be positive."""
+    """Log density of N(mean, var); var must be positive.  The allocating
+    reference that :func:`_norm_logpdf_into` reproduces bit for bit."""
     log_var = math.log(var) if np.ndim(var) == 0 else np.log(var)
     return -0.5 * (_LOG_TWO_PI + log_var + (np.asarray(x) - mean) ** 2 / var)
+
+
+def _norm_logpdf_into(x, mean, var: float, log_norm: float, out=None):
+    """``norm_logpdf(x, mean, var)`` bit for bit, for a scalar ``var``, in one
+    buffer: ``out`` if given (it may be ``mean``), else the fresh array of
+    x - mean.  ``log_norm`` = log(2 pi) + log(var) is the caller's, taken
+    once.  The steps are norm_logpdf's in its order (subtract, square,
+    divide, add the constant, scale by -1/2); only the operands of the last
+    two swap sides, which IEEE arithmetic does not see.  The linear-Gaussian
+    density and the lookahead twists' hooks compute through it."""
+    d = np.subtract(x, mean, out=out)
+    d *= d
+    d /= var
+    d += log_norm
+    d *= -0.5
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +214,11 @@ def _ar1_samplers(phi: float, nu2: float):
 
 
 def lg_model(params: LinearGaussianParams) -> HmmModel:
-    """Linear-Gaussian model bundle with an exact observation density."""
+    """Linear-Gaussian model bundle with an exact observation density:
+    ``norm_logpdf(y, k, tau2)`` bit for bit, by :func:`_norm_logpdf_into`."""
     tau2 = params.tau2
     obs_sd = float(np.sqrt(tau2))
+    log_norm = _LOG_TWO_PI + math.log(tau2)
 
     def observation_sampler(k, stream):
         k = np.asarray(k, dtype=float)
@@ -209,7 +228,7 @@ def lg_model(params: LinearGaussianParams) -> HmmModel:
         return z
 
     def log_observation_density(y, k):
-        return norm_logpdf(y, np.asarray(k, dtype=float), tau2)
+        return _norm_logpdf_into(y, np.asarray(k, dtype=float), tau2, log_norm)
 
     return HmmModel(*_ar1_samplers(params.phi, params.nu2), observation_sampler,
                     log_observation_density)

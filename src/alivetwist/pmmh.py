@@ -54,7 +54,9 @@ def acf(series, max_lag: int) -> np.ndarray:
     """Empirical autocorrelation at lags 0..max_lag (biased covariances).
 
     Raises ValueError for a series shorter than the requested lags or with
-    zero variance.
+    zero variance.  A constant series is caught before centring: its mean
+    can round off the constant, and the residue would read as a perfect
+    correlation.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -66,7 +68,9 @@ def acf(series, max_lag: int) -> np.ndarray:
         raise ValueError(f"series of length {n} is shorter than the requested {max_lag} lags")
     centred = series - series.mean()
     denom = float(np.dot(centred, centred)) / n
-    if denom <= 0.0:
+    # min == max tests the series itself, not its centred residue; denom catches
+    # distinct values whose squared deviations underflow
+    if series.min() == series.max() or denom <= 0.0:
         raise ValueError("zero variance series has no autocorrelation")
     out = np.empty(max_lag + 1)
     out[0] = 1.0

@@ -310,7 +310,11 @@ def check_sv_posterior_sampling(master_seed: int, iterations: int, n_particles: 
         details.append(f"{algo}: rate {rate:.3f}, {early} early rejections"
                        + (f", {cap_events} cap events" if cap_events else ""))
         if acf_slack is not None:
-            acfs[algo].append(acf(f_series, config.acf_max_lag)[1:])
+            try:
+                acfs[algo].append(acf(f_series, config.acf_max_lag)[1:])
+            except ValueError:  # F never moved after burn-in: no autocorrelation to compare
+                details.append(f"{algo}: F chain stuck after burn-in")
+                acfs[algo].append(np.full(config.acf_max_lag, math.nan))
     if acf_slack is not None:
         mean_plain = float(np.mean(acfs["alive"]))
         mean_twisted = float(np.mean(acfs["alive-twisted"]))

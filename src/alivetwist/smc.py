@@ -207,7 +207,8 @@ def _logsumexp1d(values: np.ndarray) -> float:
     """log(sum(exp(values))) for a nonempty 1-d float array whose largest entry
     is finite (twist ``log_h`` values are), without scipy's dispatch cost."""
     shift = float(values.max())
-    return shift + math.log(float(np.exp(values - shift).sum()))
+    shifted = np.subtract(values, shift)
+    return shift + math.log(float(np.exp(shifted, out=shifted).sum()))
 
 
 def _pool_weights(log_weights: np.ndarray, step: int):
@@ -221,7 +222,8 @@ def _pool_weights(log_weights: np.ndarray, step: int):
     shift = float(log_weights.max())
     if not math.isfinite(shift):
         raise ParticleDeathError(step)
-    cdf = np.exp(log_weights - shift)
+    cdf = np.subtract(log_weights, shift)
+    np.exp(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
     return cdf, shift + math.log(float(cdf[-1]))
 
@@ -230,18 +232,24 @@ def _resample(stream: np.random.Generator, cdf: np.ndarray, size: int) -> np.nda
     """``size`` iid multinomial indices over the pool cdf that
     :func:`_pool_weights` returns, in nondecreasing order.
 
-    The uniforms are sorted in place, scaled by the total and searched in
-    one ``searchsorted`` pass; an index past the end (a uniform that rounds
-    onto the total) is clamped to the last particle.  Scaling by a positive
-    total keeps order, so the result is ``np.sort(categorical_many(stream,
-    weights, size))`` from the same stream: the multinomial multiset without
-    its draw order, for callers whose readers ignore particle order.
+    The uniforms are sorted in place, scaled by the total T and searched in
+    one ``searchsorted`` pass.  Scaling by a positive total keeps order, so
+    the result is ``np.sort(categorical_many(stream, weights, size))`` from
+    the same stream: the multinomial multiset without its draw order, for
+    callers whose readers ignore particle order.
+
+    No index runs past the end, so none is clamped.  ``random`` returns at
+    most 1 - 2^-53, and the pool cdf's total T is at least 1 (its largest
+    weight is 1).  The exact product (1 - 2^-53) T = T - T 2^-53 lies more
+    than half the float spacing at T below T and less than a whole spacing
+    (at a power of two, exactly the spacing below it), so it rounds to the
+    float just below T; rounding is monotone, so every scaled uniform is
+    below T = cdf[-1] and the search stops at a particle.
     """
     u = stream.random(size)
     u.sort()
     u *= cdf[-1]
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1, out=idx)
+    return np.searchsorted(cdf, u, side="right")
 
 
 def checked_observations(observations, dtype=None) -> np.ndarray:
@@ -482,6 +490,8 @@ def bootstrap_filter(model, observations, n_particles: int,
     generations: List[BootstrapGeneration] = []
     log_factors: List[float] = []
     prev: Optional[BootstrapGeneration] = None
+    # np.log as the pins were recorded: math.log differs in the last bit at some N (9170)
+    log_n = float(np.log(n_particles))
 
     for t, y in enumerate(observations):
         if prev is None:
@@ -493,7 +503,7 @@ def bootstrap_filter(model, observations, n_particles: int,
         cdf, total = _pool_weights(log_weights, t)
         generation = BootstrapGeneration(states=k, log_weights=log_weights)
         generations.append(generation)
-        log_factors.append(total - np.log(n_particles))
+        log_factors.append(total - log_n)
         prev = generation
 
     return generations, NormConstEstimate.from_log_factors(log_factors)
@@ -524,6 +534,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     log_factors: List[float] = []
     prev: Optional[BootstrapGeneration] = None
     prev_total = 0.0
+    log_n = math.log(n_particles)
 
     for t in range(observations.size):
         y = observations[t]
@@ -535,9 +546,9 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
                 model.init_state_sampler(stream, n_particles - 1), stream
             )
         else:
-            scores, log_scores_sum = _pool_weights(
-                prev.log_weights + twist.log_qh(y_window, prev.states), t
-            )
+            log_scores = twist.log_qh(y_window, prev.states)  # a fresh array: ours to overwrite
+            log_scores += prev.log_weights
+            scores, log_scores_sum = _pool_weights(log_scores, t)
             guided = twist.propose_guided_states(
                 prev.states[_resample(stream, scores, 1)[0]], y_window, stream, 1
             )
@@ -548,7 +559,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
         states = np.concatenate((guided, others))
         log_weights = np.asarray(model.log_observation_density(y, states), dtype=float)
         cdf, total = _pool_weights(log_weights, t)
-        log_wh_sum = _logsumexp1d(twist.log_h(y_window, states)) - math.log(n_particles)
+        log_wh_sum = _logsumexp1d(twist.log_h(y_window, states)) - log_n
         prev_total = total
         generation = BootstrapGeneration(
             states=states,
@@ -557,7 +568,7 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
             log_wh_sum=log_wh_sum,
         )
         generations.append(generation)
-        log_factors.append(total - math.log(n_particles) + log_qh_sum - log_wh_sum)
+        log_factors.append(total - log_n + log_qh_sum - log_wh_sum)
         prev = generation
 
     return generations, NormConstEstimate.from_log_factors(log_factors)

@@ -24,6 +24,10 @@ and ``propose_guided_states``; ``smc.alive_twisted_filter`` reads
 * ``propose_guided_states(k, y_window, stream, count)`` — ``count`` iid
   next states out of the ancestor state ``k``, reweighted by h.
 
+Each hook returns a fresh array that the filter owns and may overwrite
+(``twisted_bootstrap_filter`` adds the pool's log weights into the
+``log_qh`` values in place), never a view of the twist's own state.
+
 ``DiscreteTableTwist`` has no ``log_qh``: finite-state models have no
 observation density, so only the alive filter runs them.
 
@@ -57,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import _LOG_TWO_PI, DiscreteHmmParams, discrete_accept_masses
+from .models import _LOG_TWO_PI, DiscreteHmmParams, _norm_logpdf_into, discrete_accept_masses
 from .rng import categorical_many
 
 LOG_FLOOR = float(np.log(1e-300))
@@ -72,25 +76,14 @@ def _checked(values: np.ndarray) -> np.ndarray:
 
 def _scaled(k, factor: float) -> np.ndarray:
     """factor * k as a fresh float array (0-d for a scalar k) for in-place passes."""
-    return np.multiply(k, factor, out=np.empty(np.shape(k)))
+    return np.multiply(k, factor, out=np.empty_like(k, dtype=float))
 
 
-def _log_density(target: float, mean: np.ndarray, var: float, log_norm: float) -> np.ndarray:
-    """``models.norm_logpdf(target, mean, var)`` in place over ``mean``, in its
-    operation order; ``log_norm`` is log(2 pi) + log(var)."""
-    np.subtract(target, mean, out=mean)
-    np.square(mean, out=mean)
-    mean /= var
-    mean += log_norm
-    mean *= -0.5
-    return mean
-
-
-def ndtr(x):
+def ndtr(x, out=None):
     """``scipy.special.ndtr``, rebound on first call so the package imports no scipy."""
     global ndtr
     from scipy.special import ndtr
-    return ndtr(x)
+    return ndtr(x, out=out)
 
 
 def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
@@ -100,21 +93,35 @@ def _log_interval_mass(mean, var: float, lo: float, hi: float) -> np.ndarray:
     difference stays well conditioned, so masses far out in either tail stay
     accurate instead of cancelling to zero.  An infinite end (a relative
     kernel's half-width can overflow) leaves a one-sided mass, one CDF value,
-    or 1 for the whole line.  Masses below 1e-300 floor at LOG_FLOOR.
+    or 1 for the whole line.  Masses below 1e-300 floor at LOG_FLOOR.  The
+    work runs in place in at most two fresh buffers (``mean`` is not
+    written), bit for bit as the direct allocating expressions.
     """
     sd = math.sqrt(var)
     mean = np.asarray(mean, dtype=float)
-    if hi == math.inf:
-        mass = ndtr((mean - lo) / sd) if lo > -math.inf else np.ones(mean.shape)
-    elif lo == -math.inf:
-        mass = ndtr((hi - mean) / sd)
+    if lo == -math.inf and hi == math.inf:
+        return np.zeros(mean.shape)  # log 1
+    mass = np.empty(mean.shape)
+    if lo == -math.inf or hi == math.inf:  # one CDF value
+        if hi == math.inf:
+            np.subtract(mean, lo, out=mass)
+        else:
+            np.subtract(hi, mean, out=mass)
+        mass /= sd
+        ndtr(mass, out=mass)
     else:
         # x: the midpoint reflected onto the lower half-line, where the CDF keeps full
         # relative precision down to the floor; halves summed so it cannot overflow
-        x = -np.abs((0.5 * lo + 0.5 * hi - mean) / sd)
+        x = np.subtract(0.5 * lo + 0.5 * hi, mean, out=mass)
+        np.abs(x, out=x)
+        x /= -sd  # -|a / sd| exactly: IEEE division is symmetric in sign
         w = 0.5 * (hi - lo) / sd
-        mass = ndtr(x + w) - ndtr(x - w)
-    return np.log(np.maximum(mass, 1e-300))
+        lower = np.subtract(x, w, out=np.empty(mean.shape))
+        x += w
+        ndtr(x, out=x)
+        x -= ndtr(lower, out=lower)  # ndtr(x + w) - ndtr(x - w)
+    np.maximum(mass, 1e-300, out=mass)
+    return np.log(mass, out=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +235,8 @@ class GaussianLookaheadTwist:
         row, target = self._window(y_window)
         if row.lag == 0:
             return np.zeros(np.shape(k))
-        return _checked(_log_density(target, _scaled(k, row.scale), row.s2, row.h_norm))
+        mean = _scaled(k, row.scale)
+        return _checked(_norm_logpdf_into(target, mean, row.s2, row.h_norm, out=mean))
 
     def log_qh(self, y_window, k) -> np.ndarray:
         row, target = self._window(y_window)
@@ -237,7 +245,7 @@ class GaussianLookaheadTwist:
         law = row.laws[k is None]
         mean = np.zeros(()) if k is None else _scaled(k, self.phi)  # the next state's mean
         mean *= row.scale
-        return _checked(_log_density(target, mean, law.qh_var, law.qh_norm))
+        return _checked(_norm_logpdf_into(target, mean, law.qh_var, law.qh_norm, out=mean))
 
     def propose_guided_states(self, k_anc, y_window, stream, count: int) -> np.ndarray:
         """``count`` iid next states out of ``k_anc`` (None: the initial draw
@@ -262,7 +270,8 @@ class GaussianLookaheadTwist:
         mean = np.zeros(()) if k is None else _scaled(k, self.phi)  # shared by qh and the tilt
         log_qh = 0.0
         if row.lag:
-            log_qh = _log_density(target, _scaled(mean, row.scale), law.qh_var, law.qh_norm)
+            log_qh = _scaled(mean, row.scale)
+            _norm_logpdf_into(target, log_qh, law.qh_var, law.qh_norm, out=log_qh)
             np.maximum(log_qh, LOG_FLOOR, out=log_qh)
             mean *= law.tilt_coef
             mean += law.tilt_gain * target / row.s2

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, and reproducibility."""
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -426,6 +427,24 @@ class TestPmmh:
         _, acf_rows = _read_csv(out_dir / "acf.csv")
         assert len(acf_rows) == 51
         assert math.isnan(float(acf_rows[1][1]))
+
+    def test_acf_of_a_theta_that_never_moves_is_nan(self, tmp_path, sv_config, monkeypatch):
+        """A chain whose F sits at 0.1 after burn-in: its mean rounds off 0.1,
+        and the centred residue used to read as autocorrelations near 1."""
+        run = cli.run_sv_pmmh
+
+        def stuck_f(*args):
+            record = run(*args)
+            record.thetas = [dataclasses.replace(theta, F=0.1) for theta in record.thetas]
+            return record
+
+        monkeypatch.setattr(cli, "run_sv_pmmh", stuck_f)
+        data = self._data(tmp_path, sv_config)
+        out_dir = tmp_path / "stuck"
+        assert cli.main(["pmmh", "--algo", "alive", "--config", self._config(tmp_path),
+                         "--data", data, "--seed", "13", "--out-dir", str(out_dir)]) == 0
+        _, acf_rows = _read_csv(out_dir / "acf.csv")
+        assert all(math.isnan(float(row[1])) for row in acf_rows)
 
     def test_prices_data_kind(self, tmp_path, sv_config):
         prices = tmp_path / "prices.csv"

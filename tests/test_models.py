@@ -1,6 +1,7 @@
 """Model bundles: parameter validation, samplers, and lookahead arithmetic."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from alivetwist import (
     simulate,
     sv_model,
 )
-from alivetwist.models import norm_logpdf
+from alivetwist.models import _norm_logpdf_into, norm_logpdf
 from alivetwist.twist import ar1_lookahead_variance, lg_twist, sv_twist
 
-from helpers import ScriptedStream, stream_for
+from helpers import ScriptedStream, assert_same_bits, stream_for
 
 
 class TestParamValidation:
@@ -94,6 +95,46 @@ class TestNormLogpdf:
         var = np.array([1.0, 4.0, 0.25])
         ref = stats.norm.logpdf(x, loc=0.5, scale=np.sqrt(var))
         np.testing.assert_allclose(norm_logpdf(x, 0.5, var), ref, rtol=1e-12)
+
+
+class TestInPlaceDensity:
+    """``lg_model``'s density and the lookahead twists' hooks run through
+    ``_norm_logpdf_into``, which must give ``norm_logpdf``'s bits."""
+
+    TAU2 = 0.37
+
+    def _density(self):
+        return lg_model(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=self.TAU2)).log_observation_density
+
+    def _rows(self):
+        stream = stream_for(104)
+        return [3.0 * stream.standard_normal(n) for n in (1, 7, 200, 2000)] + [
+            np.array([0.0, -0.0, 1e-300, -1e150, 1e150]), np.empty(0)]
+
+    def test_lg_density_equals_norm_logpdf(self):
+        density = self._density()
+        for k in self._rows():
+            for y in (0.0, 0.41, -2.7, 35.0):
+                assert_same_bits(density(np.float64(y), k), norm_logpdf(np.float64(y), k, self.TAU2))
+
+    def test_lg_density_equals_norm_logpdf_where_it_overflows(self):
+        density = self._density()
+        with np.errstate(over="ignore"):
+            for k in self._rows() + [np.array([1e300, -1e300, -1.7e308])]:
+                for y in (1e200, -1e200, 1.7e308):
+                    got = density(np.float64(y), k)
+                    assert_same_bits(got, norm_logpdf(np.float64(y), k, self.TAU2))
+                    assert np.isneginf(got).all()
+
+    def test_into_mean_leaves_norm_logpdf_in_mean(self):
+        """With ``out=mean`` (the twists' use) the result replaces the mean."""
+        log_norm = float(np.log(2.0 * np.pi)) + math.log(self.TAU2)  # as norm_logpdf forms it
+        for mean in self._rows() + [np.zeros(()), np.full((), 2.5)]:
+            want = norm_logpdf(0.41, mean, self.TAU2)
+            buffer = mean.copy()
+            got = _norm_logpdf_into(0.41, buffer, self.TAU2, log_norm, out=buffer)
+            assert got is buffer
+            assert_same_bits(got, np.asarray(want))
 
 
 class TestLookaheadPredictive:

@@ -46,6 +46,14 @@ class TestAcf:
         with pytest.raises(ValueError):
             acf([2.0, 2.0, 2.0, 2.0], 1)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1.0 / 3.0, 1e-300, -7.7])
+    def test_constant_series_raises_though_its_mean_rounds(self, value):
+        """[0.1] * 1000 has a mean that is not 0.1, so centring leaves a
+        constant residue that used to read as autocorrelations near 1."""
+        series = [value] * 1000
+        with pytest.raises(ValueError, match="zero variance"):
+            acf(series, 3)
+
     def test_lag_zero_is_one(self):
         values = stream_for(300).standard_normal(50)
         assert acf(values, 0)[0] == 1.0

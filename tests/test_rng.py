@@ -1,5 +1,6 @@
 """Seeded stream derivation and categorical draw helpers."""
 
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from alivetwist.rng import (
 )
 from alivetwist.smc import ParticleDeathError, _logsumexp1d, _pool_weights, _resample
 
-from helpers import stream_for
+from helpers import ScriptedStream, assert_same_bits, stream_for
 
 
 class TestSeedSpec:
@@ -249,6 +250,62 @@ class TestResample:
             observed = (draws == index).mean()
             se = np.sqrt(p * (1 - p) / draws.size)
             assert abs(observed - p) < 4 * se
+
+    TOP = 1.0 - 2.0**-53  # the largest value ``random`` returns
+
+    @staticmethod
+    def _clamped(stream, cdf, size):
+        """``_resample`` as it was with its clamp on the index past the end."""
+        u = stream.random(size)
+        u.sort()
+        u *= cdf[-1]
+        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 9, 52, 53, 200, 1000])
+    def test_top_uniform_needs_no_clamp(self, exponent):
+        """At the largest uniform, totals at and just above a power of two
+        (the two rounding cases of the docstring's proof) give the clamped
+        indices, and the top one is the last particle with weight."""
+        uniforms = [self.TOP, 0.0, 0.5, self.TOP]
+        for total in (2.0**exponent, np.nextafter(2.0**exponent, np.inf),
+                      3.0 * 2.0**exponent, np.nextafter(2.0**(exponent + 1), 0.0)):
+            for cdf in (np.array([total]), np.array([0.25, 1.0, 1.0]) * total,
+                        np.array([1e-300, 0.5, 1.0 - 2.0**-52, 1.0]) * total):
+                cdf[-1] = total
+                got = _resample(ScriptedStream(uniforms=uniforms), cdf, len(uniforms))
+                want = self._clamped(ScriptedStream(uniforms=uniforms), cdf, len(uniforms))
+                assert_same_bits(got, want)
+                assert got[-1] == np.flatnonzero(np.diff(cdf, prepend=0.0))[-1]
+
+    def test_pool_draws_equal_the_clamped_draws(self):
+        for seed in range(20):
+            log_weights = 5.0 * stream_for(253, seed).standard_normal(1 + 37 * seed)
+            cdf, _ = _pool_weights(log_weights, 0)
+            assert_same_bits(_resample(stream_for(254, seed), cdf, 500),
+                             self._clamped(stream_for(254, seed), cdf, 500))
+
+    @settings(max_examples=500, deadline=None)
+    @given(total=st.floats(min_value=1.0, allow_nan=False, allow_infinity=False))
+    def test_the_top_uniform_scales_below_every_total(self, total):
+        """The clamp proof: (1 - 2^-53) T rounds below T for every float T >= 1."""
+        assert self.TOP * total < total
+
+    def test_pool_weights_equal_the_allocating_expressions(self):
+        """``_pool_weights`` and ``_logsumexp1d`` exponentiate in place; their
+        bits are those of the expressions they replaced."""
+        stream = stream_for(255)
+        for n in (1, 2, 199, 2000):
+            log_weights = 40.0 * stream.standard_normal(n)
+            log_weights[::5] = -np.inf
+            log_weights[-1] = 3.0
+            shift = float(log_weights.max())
+            cdf, log_total = _pool_weights(log_weights, 0)
+            want = np.exp(log_weights - shift)
+            np.cumsum(want, out=want)
+            assert_same_bits(cdf, want)
+            assert log_total == shift + math.log(float(want[-1]))
+            assert _logsumexp1d(log_weights) == shift + math.log(
+                float(np.exp(log_weights - shift).sum()))
 
     def test_pool_weights_are_the_shifted_cdf_and_its_log_total(self):
         """``_pool_weights`` hands ``_resample`` the cdf of exp(log_weights -

@@ -21,7 +21,7 @@ from alivetwist.selftest import (
 )
 from alivetwist.smc import NormConstEstimate, StoppingTimeCapError
 
-from helpers import src_env
+from helpers import src_env, stream_for
 
 
 def _discrete_check_detail(hash_seed: str) -> str:
@@ -167,3 +167,18 @@ def test_sv_posterior_check_compares_acf_only_when_given_a_slack():
     assert line.startswith("mean F autocorrelation lags 1-50: twisted ")
     assert line.endswith("(slack 2.0)")
     assert plain.detail == rates
+
+
+def test_sv_posterior_check_reports_a_stuck_chain(monkeypatch):
+    """An F chain that never moves after burn-in has no autocorrelation: the
+    full-level comparison fails the check and names the chain, not raises."""
+    def chain(args):
+        stuck = args[2] == "alive-twisted"
+        return 0.3, 0, 0, np.full(200, 0.1) if stuck else stream_for(7).standard_normal(200)
+
+    monkeypatch.setattr(selftest, "_sv_chain_task", chain)
+    result = check_sv_posterior_sampling(7, iterations=200, n_particles=10, steps=10, seeds=1,
+                                         acf_slack=2.0, workers=1)
+    assert not result.passed
+    assert "alive-twisted: F chain stuck after burn-in" in result.detail
+    assert "twisted nan vs plain " in result.detail

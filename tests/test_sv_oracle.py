@@ -28,6 +28,7 @@ from alivetwist import (
 from alivetwist.selftest import synthetic_sv_record
 
 from helpers import (
+    STABLE_TAIL_FROM,
     lg_abc_grid_log_marginal,
     monte_carlo_z,
     near_zero_window,
@@ -56,6 +57,35 @@ class TestStableCdfTable:
         f0 = levy_stable.cdf(0.0, PARAMS.alpha, PARAMS.beta)
         slope = levy_stable.pdf(0.0, PARAMS.alpha, PARAMS.beta)
         np.testing.assert_allclose(cdf(x), f0 + slope * x, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.95, 0.05), (1.95, -0.05), (1.8, 0.0)])
+    @pytest.mark.parametrize("x", [150.0, -150.0, 1e3, -1e3, 1e4, -1e4])
+    def test_tail_matches_quadrature_of_the_density(self, alpha, beta, x):
+        """Past where ``levy_stable.cdf`` returns exactly 0 or 1, the table's
+        tail mass is the integral of ``levy_stable.pdf`` over the tail.  With
+        u = z^(-1/alpha) the integrand tends to a constant at z = 0."""
+        side = 1.0 if x > 0 else -1.0  # P(X < x) at x < 0 is P(-X > -x), -X at -beta
+
+        def integrand(z):
+            u = z ** (-1.0 / alpha)
+            return levy_stable.pdf(u, alpha, side * beta) * u / (alpha * z)
+
+        want, _ = quad(integrand, 0.0, abs(x) ** -alpha, epsrel=1e-8)
+        got = 1.0 - stable_cdf_table(alpha, beta)(x) if x > 0 else stable_cdf_table(alpha, beta)(x)
+        assert float(got) == pytest.approx(want, rel=0.01)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.95, 0.05), (1.8, 0.0)])
+    def test_tail_series_meets_scipy_where_the_table_switches(self, alpha, beta):
+        """At |x| = STABLE_TAIL_FROM, where the table leaves the spline for the
+        series, both sides and scipy agree to a small part of the tail mass."""
+        cdf = stable_cdf_table(alpha, beta)
+        for x in (STABLE_TAIL_FROM, -STABLE_TAIL_FROM):
+            inside = float(cdf(np.nextafter(x, 0.0)))
+            at = float(cdf(x))
+            scipy_value = float(levy_stable.cdf(x, alpha, beta))
+            tail = min(at, 1.0 - at)
+            assert abs(at - scipy_value) < 1e-4 * tail
+            assert abs(inside - at) < 1e-4 * tail
 
     def test_gaussian_limit_has_variance_two(self):
         """At alpha = 2 the standard S1 law is N(0, 2), as stable_sample draws it."""
@@ -91,6 +121,24 @@ class TestVolatilityOracle:
 
     def test_plain_alive_is_unbiased(self):
         ratios = self._ratios(lambda m, y, s: alive_filter(m, KERNEL, y, 100, stream=s))
+        assert monte_carlo_z(ratios, 1.0) < 3.0
+
+    def test_plain_alive_is_unbiased_with_an_outlier_and_absolute_epsilon(self):
+        """One observation at 10, about six times the rest's largest, under an
+        absolute epsilon of 5.  The latent spread (nu2 0.2) puts the oracle's
+        low-volatility grid states at stable arguments up to ~240, past where
+        ``levy_stable.cdf`` saturates, so the table's tail series is in use."""
+        params = StochasticVolatilityParams(F=0.5, nu2=0.2, alpha=1.95, beta=0.05, gamma=0.5)
+        kernel = AbcKernel(epsilon=5.0, mode="absolute")
+        model = sv_model(params)
+        _, observations = simulate(model, 10, stream_for(504))
+        observations[5] = 10.0
+        truth = sv_abc_grid_log_marginal(params, observations, kernel)
+        ratios = np.array([
+            math.exp(alive_filter(model, kernel, observations, 20, stream=stream_for(503, rep))
+                     [1].log_total - truth)
+            for rep in range(400)
+        ])
         assert monte_carlo_z(ratios, 1.0) < 3.0
 
     @pytest.mark.xfail(strict=True, reason="log_qh_alive integrates the acceptance under the "

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from alivetwist import (
     AbcKernel,
@@ -36,7 +37,7 @@ from alivetwist.twist import (
     ar1_lookahead_variance,
 )
 
-from helpers import SRC, stream_for
+from helpers import SRC, assert_same_bits, stream_for
 
 
 def _relative_imports(module: str) -> set:
@@ -188,11 +189,6 @@ def _direct_constants(twist, window, k):
     return lag, scale, s2, float(window[lag]), mean, var
 
 
-def _assert_same_bits(got, want):
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
 class TestLookaheadRows:
     @pytest.mark.parametrize("twist, state_scale", [
         (_twist(), 2.0),
@@ -214,7 +210,7 @@ class TestLookaheadRows:
             lag, scale, s2, target, _, _ = _direct_constants(twist, y_window, k)
             want = (np.zeros(k.shape) if lag == 0
                     else np.maximum(norm_logpdf(target, scale * k, s2), LOG_FLOOR))
-            _assert_same_bits(twist.log_h(y_window, k), want)
+            assert_same_bits(twist.log_h(y_window, k), want)
             for states, anchor in ((k, k[0]), (None, None)):
                 lag, scale, s2, target, mean, var = _direct_constants(twist, y_window, states)
                 if lag == 0:
@@ -227,10 +223,10 @@ class TestLookaheadRows:
                 mass = _log_interval_mass(tilt_mean, tilt_var + twist.obs_var, lo, hi)
                 draws = (float(tilt_mean.flat[0])
                          + math.sqrt(tilt_var) * stream_for(243).standard_normal(5))
-                _assert_same_bits(twist.log_qh(y_window, states), log_qh)
-                _assert_same_bits(twist.log_qh_alive(y_window, states, kernel),
+                assert_same_bits(twist.log_qh(y_window, states), log_qh)
+                assert_same_bits(twist.log_qh_alive(y_window, states, kernel),
                                   np.maximum(log_qh + mass, LOG_FLOOR))
-                _assert_same_bits(
+                assert_same_bits(
                     twist.propose_guided_states(anchor, y_window, stream_for(243), 5), draws)
 
 
@@ -368,7 +364,38 @@ class TestTwistedSamplers:
         assert pvalue > 1e-3
 
 
+def _direct_interval_mass(mean, var, lo, hi):
+    """``_log_interval_mass`` as it was written with allocating expressions."""
+    sd = math.sqrt(var)
+    mean = np.asarray(mean, dtype=float)
+    if hi == math.inf:
+        mass = ndtr((mean - lo) / sd) if lo > -math.inf else np.ones(mean.shape)
+    elif lo == -math.inf:
+        mass = ndtr((hi - mean) / sd)
+    else:
+        x = -np.abs((0.5 * lo + 0.5 * hi - mean) / sd)
+        w = 0.5 * (hi - lo) / sd
+        mass = ndtr(x + w) - ndtr(x - w)
+    return np.log(np.maximum(mass, 1e-300))
+
+
 class TestIntervalMass:
+    @pytest.mark.parametrize("lo, hi", [
+        (-0.5, 1.2), (10.0, 11.0), (-11.0, -10.0), (30.0, 30.0), (-0.0, math.inf),
+        (-2.5, math.inf), (-math.inf, 0.4), (-math.inf, -7.0), (-math.inf, math.inf),
+    ])
+    def test_equals_the_direct_expressions_bit_for_bit(self, lo, hi):
+        """The in-place passes give the allocating expressions' bits, for 0-d
+        and array means, and leave the mean as it was."""
+        stream = stream_for(233)
+        for mean in [np.zeros(()), np.full((), -3.25), 4.0 * stream.standard_normal(7),
+                     20.0 * stream.standard_normal(2000), np.array([0.0, -0.0, 40.0, -45.0])]:
+            before = mean.copy()
+            for var in (1.7, 0.04):
+                assert_same_bits(_log_interval_mass(mean, var, lo, hi),
+                                 _direct_interval_mass(mean, var, lo, hi))
+            assert_same_bits(mean, before)
+
     def test_central_interval_matches_mpmath(self):
         got = float(_log_interval_mass(np.array([0.3]), 1.7, -0.5, 1.2)[0])
         sd = mpmath.sqrt(1.7)
