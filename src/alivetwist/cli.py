@@ -31,7 +31,6 @@ from .configs import (
     ConfigError,
     load_config,
     build_model,
-    build_twist,
     parse_filter,
     parse_grid,
     parse_kernel,
@@ -139,7 +138,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_filter(args) -> int:
     config = load_config(args.config)
     params = parse_model(config)
-    model = build_model(params)
     run = parse_filter(config)
     observations = load_observations(args.data, column=args.column)
     stream = derive_stream(SeedSpec(args.seed, 0))
@@ -147,10 +145,7 @@ def _cmd_filter(args) -> int:
     algo = FILTERS[args.algo]
     twisted = algo.twisted
     kernel = parse_kernel(config) if algo.uses_kernel else None
-    twist = build_twist(params, run.lag) if twisted else None
-    generations, estimate = algo.run(
-        model, kernel, twist, observations, run.n_particles, run.cap, stream
-    )
+    generations, estimate = algo.run_params(params, kernel, observations, run, stream)
 
     header = ["step", "stopping_time", "log_factor", "cumulative_log_z"]
     if twisted:

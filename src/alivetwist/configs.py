@@ -144,11 +144,20 @@ class FilterAlgo:
 
     ``run(model, kernel, twist, observations, n_particles, cap, stream)``
     returns (generations, estimate); the filter ignores what it does not use.
+    :meth:`run_params` is the same run on one parameter set, which supplies
+    the model and, for a twisted filter, the twist.
     """
 
     run: Callable
     uses_kernel: bool
     twisted: bool
+
+    def run_params(self, params, kernel, observations, run: FilterConfig, stream):
+        """``run`` on ``build_model(params)``, with ``build_twist(params, run.lag)``
+        when the filter is twisted, at ``run``'s particle count and cap."""
+        twist = build_twist(params, run.lag) if self.twisted else None
+        return self.run(build_model(params), kernel, twist, observations, run.n_particles,
+                        run.cap, stream)
 
 
 FILTERS = {  # CLI name: (runner, uses_kernel, twisted)
@@ -196,7 +205,8 @@ def parse_filter(config: dict) -> FilterConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class GridConfig(FilterConfig):
-    """Variance-comparison sweep over latent/observation noise scales."""
+    """Variance-comparison sweep over latent/observation noise scales; ``kernel``
+    (set here, not a field) is the ``AbcKernel(epsilon, mode)`` of every run."""
 
     lag: int = 5
     phi: float
@@ -215,7 +225,7 @@ class GridConfig(FilterConfig):
             raise ConfigError("nu2_values and tau2_values must be nonempty")
         if self.steps < 1:
             raise ConfigError("steps must be positive")
-        _as_config_error(AbcKernel, self.epsilon, self.mode)
+        object.__setattr__(self, "kernel", _as_config_error(AbcKernel, self.epsilon, self.mode))
 
 
 def parse_grid(config: dict) -> GridConfig:
@@ -224,7 +234,8 @@ def parse_grid(config: dict) -> GridConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class PmmhConfig(FilterConfig):
-    """One posterior-sampling run for the volatility model."""
+    """One posterior-sampling run for the volatility model; ``kernel`` (set
+    here, not a field) is the ``AbcKernel(epsilon, mode)`` of every run."""
 
     lag: int = 5
     iterations: int
@@ -247,7 +258,7 @@ class PmmhConfig(FilterConfig):
             raise ConfigError("acf_max_lag must be positive")
         if self.steps is not None and self.steps < 1:
             raise ConfigError("steps must be positive when given")
-        _as_config_error(AbcKernel, self.epsilon, self.mode)
+        object.__setattr__(self, "kernel", _as_config_error(AbcKernel, self.epsilon, self.mode))
 
     @property
     def burn_in(self) -> int:

@@ -16,9 +16,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .configs import FILTERS, GridConfig, PmmhConfig, build_twist
-from .kernels import AbcKernel
-from .models import LinearGaussianParams, StochasticVolatilityParams, lg_model, simulate, sv_model
+from .configs import FILTERS, GridConfig, PmmhConfig
+from .models import LinearGaussianParams, StochasticVolatilityParams, lg_model, simulate
 from .pmmh import (
     ChainRecord,
     SvPriorSpec,
@@ -64,15 +63,9 @@ def _grid_replicate(args):
     """One filter replicate of one grid cell; top-level so pools can pickle it."""
     config, master_seed, stream_id, nu2, tau2, observations, algo = args
     params = LinearGaussianParams(config.phi, nu2, tau2)
-    model = lg_model(params)
-    kernel = AbcKernel(config.epsilon, config.mode)
     stream = derive_stream(SeedSpec(master_seed, stream_id))
-    runner = FILTERS[algo]
-    twist = build_twist(params, config.lag) if runner.twisted else None
     try:
-        _, estimate = runner.run(
-            model, kernel, twist, observations, config.n_particles, config.cap, stream
-        )
+        _, estimate = FILTERS[algo].run_params(params, config.kernel, observations, config, stream)
     except StoppingTimeCapError as err:
         return ("cap_exceeded", str(err))
     return ("ok", estimate.log_total)
@@ -212,7 +205,6 @@ def sv_filter_runner(observations, config: PmmhConfig, algo: str):
     """The (theta, stream) -> (generations, estimate) hook for the chain;
     ``algo`` is looked up in FILTERS here, so an unknown name raises KeyError."""
     observations = np.asarray(observations, dtype=float)
-    kernel = AbcKernel(config.epsilon, config.mode)
     runner = FILTERS[algo]
 
     def run_filter(theta, stream):
@@ -220,10 +212,7 @@ def sv_filter_runner(observations, config: PmmhConfig, algo: str):
             F=theta.F, nu2=theta.nu2, alpha=config.alpha, beta=config.beta,
             gamma=theta.gamma, delta=config.delta,
         )
-        twist = build_twist(params, config.lag) if runner.twisted else None
-        return runner.run(
-            sv_model(params), kernel, twist, observations, config.n_particles, config.cap, stream
-        )
+        return runner.run_params(params, config.kernel, observations, config, stream)
 
     return run_filter
 

@@ -261,9 +261,12 @@ def discrete_model(params: DiscreteHmmParams) -> HmmModel:
     emission = params.emission
 
     def _row_categorical(rows, stream):
+        """One index per row, by the row's weights.  No count reaches the row
+        length: each row total T is within ~1e-5 of 1 (``DiscreteHmmParams``),
+        and ``random() * T`` rounds below T, as ``smc._resample`` proves."""
         cum = np.cumsum(rows, axis=1)
         u = stream.random(rows.shape[0]) * cum[:, -1]
-        return np.minimum((cum <= u[:, None]).sum(axis=1), rows.shape[1] - 1).astype(np.int64)
+        return (cum <= u[:, None]).sum(axis=1).astype(np.int64)
 
     def init_state_sampler(stream, size):
         return categorical_many(stream, params.initial, size)

@@ -269,10 +269,9 @@ class GaussianLookaheadTwist:
         law = row.laws[k is None]
         mean = np.zeros(()) if k is None else _scaled(k, self.phi)  # shared by qh and the tilt
         log_qh = 0.0
-        if row.lag:
+        if row.lag:  # log qh is floored only in the sum: log mass <= 0 gives the same bits
             log_qh = _scaled(mean, row.scale)
             _norm_logpdf_into(target, log_qh, law.qh_var, law.qh_norm, out=log_qh)
-            np.maximum(log_qh, LOG_FLOOR, out=log_qh)
             mean *= law.tilt_coef
             mean += law.tilt_gain * target / row.s2
         # the acceptance mass: one simulated observation N(K', obs_var) lands in [lo, hi]

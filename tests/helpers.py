@@ -305,3 +305,35 @@ def sv_abc_grid_log_marginal(params, observations, kernel, n_grid: int = 1501,
 
     return _ar1_grid_log_marginal(params.F, params.nu2, observations, kernel, accept_mass,
                                   n_grid, span)
+
+
+def discrete_alive_variance_terms(params, kernel, observations):
+    """(NB, sel): the two sums of the plain alive filter's asymptotic
+    variance on a finite-state instance, (N - 1) Var(log Z_hat) -> NB + sel.
+
+    With A_t the step-t acceptance masses (emission times the kernel's table
+    row of observation t), P the transition, eta_1 = initial P,
+    p_t = eta_t(A_t), eta_hat_t proportional to eta_t A_t and
+    eta_(t+1) = eta_hat_t P, and backward H_T = 1, H_t = P (A_(t+1) H_(t+1)):
+    NB = sum_t (1 - p_t), the negative-binomial noise of the stopping times,
+    and sel = sum_(t<T) [eta_hat_t(H_t^2) / eta_hat_t(H_t)^2 - 1], the noise of
+    selecting the next pool from N - 1 particles.  With h = 1 and the exact
+    mass, the twisted alive filter's (N - 1) Var(log Z_hat) -> sel alone.
+    Shares no code with the package.
+    """
+    emission = np.asarray(params.emission, dtype=float)
+    transition = np.asarray(params.transition, dtype=float)
+    masses = [emission @ np.asarray(kernel.acceptance, dtype=float)[int(y)]
+              for y in observations]
+    eta = np.asarray(params.initial, dtype=float) @ transition
+    nb, posteriors = 0.0, []
+    for mass in masses:
+        p = float(eta @ mass)
+        nb += 1.0 - p
+        posteriors.append(eta * mass / p)
+        eta = posteriors[-1] @ transition
+    sel, h = 0.0, np.ones(transition.shape[0])
+    for t in range(len(masses) - 2, -1, -1):
+        h = transition @ (masses[t + 1] * h)
+        sel += float(posteriors[t] @ (h * h) / (posteriors[t] @ h) ** 2 - 1.0)
+    return nb, sel

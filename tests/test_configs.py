@@ -1,8 +1,9 @@
 """JSON configuration parsing and validation."""
 
 import json
+import pickle
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from alivetwist.configs import (
     parse_pmmh,
 )
 from alivetwist.kernels import AbcKernel
-from alivetwist.models import LinearGaussianParams, StochasticVolatilityParams, lg_model
+from alivetwist.models import LinearGaussianParams, StochasticVolatilityParams, lg_model, simulate
 from alivetwist.rng import SeedSpec, derive_stream
 
-from helpers import SRC
+from helpers import SRC, assert_same_bits
 
 # Each section's dataclass: (section name, fixed keys, parser, a valid
 # non-default value for every field).
@@ -149,6 +150,38 @@ class TestFilterTable:
                 lg_model(params), AbcKernel(1.0, "absolute"), twist, [0.0, bad], 10, 1000,
                 derive_stream(SeedSpec(0, 0)),
             )
+
+    @pytest.mark.parametrize("algo, params", [
+        *((algo, LinearGaussianParams(0.9, 1.0, 1.0)) for algo in sorted(FILTERS)),
+        *((algo, StochasticVolatilityParams(0.5, 0.01, 1.95, 0.05, 0.5))
+          for algo in ("alive", "alive-twisted")),
+    ], ids=lambda value: value if isinstance(value, str) else type(value).__name__)
+    def test_run_params_runs_the_model_and_twist_built_from_the_params(self, algo, params):
+        """``run_params`` gives the bits of ``run`` on ``build_model(params)``
+        and, for a twisted filter, ``build_twist(params, run.lag)``."""
+        runner, run = FILTERS[algo], FilterConfig(n_particles=12, cap=10_000, lag=2)
+        kernel = AbcKernel(1.5, "relative")
+        _, observations = simulate(build_model(params), 6, derive_stream(SeedSpec(5, 0)))
+        got_pools, got = runner.run_params(params, kernel, observations, run,
+                                           derive_stream(SeedSpec(5, 1)))
+        twist = build_twist(params, 2) if runner.twisted else None
+        want_pools, want = runner.run(build_model(params), kernel, twist, observations, 12,
+                                      10_000, derive_stream(SeedSpec(5, 1)))
+        assert_same_bits(got.log_factors, want.log_factors)
+        for got_pool, want_pool in zip(got_pools, want_pools, strict=True):
+            assert_same_bits(got_pool.states, want_pool.states)
+
+
+class TestDriverKernel:
+    """``GridConfig`` and ``PmmhConfig`` keep the kernel they validate."""
+
+    @pytest.mark.parametrize("cls", [GridConfig, PmmhConfig], ids=lambda cls: cls.__name__)
+    def test_kernel_is_built_from_epsilon_and_mode_and_is_not_a_field(self, cls):
+        config = cls(**SCHEMAS[cls][3])
+        assert config.kernel == AbcKernel(config.epsilon, config.mode)
+        assert "kernel" not in {field.name for field in fields(cls)}
+        assert pickle.loads(pickle.dumps(config)).kernel == config.kernel  # sent to workers
+        assert replace(config, epsilon=0.25).kernel == AbcKernel(0.25, config.mode)
 
 
 class TestParseKernel:

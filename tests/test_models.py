@@ -271,6 +271,26 @@ class TestDiscreteModel:
             assert stream.exhausted()
 
 
+    def test_top_uniform_stays_inside_rows_totalling_just_below_and_above_one(self):
+        """At the largest uniform, 1 - 2^-53, every draw is the row's last
+        entry with mass, with no clamp, for row totals 1 - 2^-53, 1 + 2^-52
+        and 1 -/+ 4e-6 (within what ``DiscreteHmmParams`` accepts)."""
+        rows = [[0.25, 0.25, 0.5 - 2.0**-53, 0.0],
+                [0.25, 0.25, 0.25, 0.25 + 2.0**-52],
+                [0.1, 0.2, 0.3, 0.4 - 4e-6],
+                [0.1, 0.2, 0.3, 0.4 + 4e-6]]
+        params = DiscreteHmmParams(initial=[0.25] * 4, transition=rows, emission=rows)
+        totals = np.cumsum(params.transition, axis=1)[:, -1]
+        assert totals[0] == 1.0 - 2.0**-53 and totals[1] == 1.0 + 2.0**-52
+        assert totals[2] < 1.0 < totals[3]
+        model = discrete_model(params)
+        origins = np.arange(4, dtype=np.int64)
+        for sampler in (model.transition_sampler, model.observation_sampler):
+            stream = ScriptedStream(uniforms=[1.0 - 2.0**-53] * 4)
+            assert_same_bits(sampler(origins, stream), np.array([2, 3, 3, 3], dtype=np.int64))
+            assert stream.exhausted()
+
+
 class TestSimulate:
     def test_requires_positive_steps(self):
         model = lg_model(LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0))

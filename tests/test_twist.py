@@ -229,6 +229,36 @@ class TestLookaheadRows:
                 assert_same_bits(
                     twist.propose_guided_states(anchor, y_window, stream_for(243), 5), draws)
 
+    @pytest.mark.parametrize("lag", [1, 2, 5])
+    @pytest.mark.parametrize("kernel", [
+        AbcKernel(epsilon=0.9, mode="relative"),
+        AbcKernel(epsilon=0.3, mode="absolute"),
+        AbcKernel(epsilon=1e308, mode="relative"),  # overflows to the whole line for |y| > 1.8
+    ], ids=["relative", "absolute", "whole-line"])
+    def test_alive_hook_floors_its_sum_once(self, lag, kernel):
+        """``log_qh_alive`` floors log qh + log mass only after the sum.  The
+        log mass is at most 0, so that has the bits of also flooring log qh
+        first, where log qh is below the floor or -inf (an overflowing square)."""
+        twist = GaussianLookaheadTwist(phi=0.8, nu2=0.5, obs_var=0.7, lag=lag)
+        window = 3.0 * _window(244, 7)
+        k = np.array([0.0, 1.5, -4.0, 60.0, -1e3, 1e6, 1e154, -1e300, 1e300])
+        below = 0
+        with np.errstate(over="ignore"):
+            for start in range(len(window) - 1):  # the last step is untwisted: log qh = 0
+                y_window = window[start:]
+                lag_t, scale, s2, target, mean, var = _direct_constants(twist, y_window, k)
+                log_qh = norm_logpdf(target, scale * mean, s2 + scale**2 * var)
+                tilt_var = 1.0 / (1.0 / var + scale**2 / s2)
+                tilt_mean = (tilt_var / var) * mean + tilt_var * scale * target / s2
+                mass = _log_interval_mass(tilt_mean, tilt_var + twist.obs_var,
+                                          *kernel.interval(float(y_window[0])))
+                assert lag_t > 0 and np.all(mass <= 0.0)
+                below += np.count_nonzero(log_qh < LOG_FLOOR)
+                assert_same_bits(twist.log_qh_alive(y_window, k, kernel),
+                                 np.maximum(np.maximum(log_qh, LOG_FLOOR) + mass, LOG_FLOOR))
+                assert np.isneginf(log_qh[-2:]).all()
+        assert below >= 5 * (len(window) - 1)
+
 
 class TestGaussianConsistency:
     """qh really is the transition integral of h (quadrature, no shared code)."""
