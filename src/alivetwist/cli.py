@@ -153,8 +153,7 @@ def _cmd_filter(args) -> int:
     rows = []
     cumulative = np.cumsum(estimate.log_factors)
     for t, generation in enumerate(generations):
-        stopping_time = getattr(generation, "stopping_time", run.n_particles)
-        row = [t + 1, stopping_time, estimate.log_factors[t], float(cumulative[t])]
+        row = [t + 1, len(generation.states), estimate.log_factors[t], float(cumulative[t])]
         if twisted:
             row += [float(np.exp(generation.log_qh_sum)), float(np.exp(generation.log_wh_sum))]
         rows.append(row)

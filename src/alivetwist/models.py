@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -287,7 +286,6 @@ def discrete_model(params: DiscreteHmmParams) -> HmmModel:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _stable_constants(alpha: float, beta: float):
     """g/2, lambda/2 with the ufunc that applies lambda's sign, and the scale
     of the alpha != 1 transform in :func:`stable_sample`.  lambda is clipped

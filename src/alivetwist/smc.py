@@ -160,18 +160,22 @@ class ParticleDeathError(RuntimeError):
 class ParticleGeneration:
     """One step's pool from an accept/reject filter.
 
-    states and weights both have length ``stopping_time``; weights are the
-    kernel's acceptance mask (1-byte booleans for the shipped kernels) with
-    the final entry accepted.  When a twisted variant produced this
-    generation, its guided particle is the first entry and the two log sums
-    record that step's guidance diagnostics.
+    states and weights hold the step's proposals up to its last acceptance,
+    so their length is the stopping time T (``stopping_time`` reads it off
+    the pool); weights are the kernel's acceptance mask (1-byte booleans for
+    the shipped kernels) with the final entry accepted.  When a twisted
+    variant produced this generation, its guided particle is the first entry
+    and the two log sums record that step's guidance diagnostics.
     """
 
     states: np.ndarray
     weights: np.ndarray
-    stopping_time: int
     log_qh_sum: Optional[float] = None
     log_wh_sum: Optional[float] = None
+
+    @property
+    def stopping_time(self) -> int:
+        return len(self.states)
 
 
 @dataclass(slots=True)
@@ -200,7 +204,10 @@ class NormConstEstimate:
     @classmethod
     def from_log_factors(cls, log_factors) -> "NormConstEstimate":
         log_factors = [float(f) for f in log_factors]
-        return cls(log_factors, float(sum(log_factors)))
+        total = 0.0  # left to right, as np.cumsum: the builtin sum compensates from 3.12 on
+        for f in log_factors:
+            total += f
+        return cls(log_factors, total)
 
 
 def _logsumexp1d(values: np.ndarray) -> float:
@@ -252,8 +259,14 @@ def _resample(stream: np.random.Generator, cdf: np.ndarray, size: int) -> np.nda
     return np.searchsorted(cdf, u, side="right")
 
 
-def checked_observations(observations, dtype=None) -> np.ndarray:
-    """The record as an array; raises ValueError if it is empty or not all finite."""
+def _checked_run(stream, n_particles: int, least: int, observations, dtype=None) -> np.ndarray:
+    """A filter run's record as an array; raises ValueError without an
+    explicit stream, with fewer than ``least`` particles, or if the record is
+    empty or not all finite."""
+    if stream is None:
+        raise ValueError("an explicit random stream is required")
+    if n_particles < least:
+        raise ValueError(f"need at least {least} particle{'s' * (least > 1)}, got {n_particles}")
     observations = np.asarray(observations, dtype=dtype)
     if observations.size == 0:
         raise ValueError("need at least one observation")
@@ -433,11 +446,7 @@ def alive_filter(model, kernel, observations, n_particles: int,
     EarlyRejection.  Reaching the hard ``cap`` first raises
     StoppingTimeCapError as without a floor.
     """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 2:
-        raise ValueError(f"need at least 2 particles, got {n_particles}")
-    observations = checked_observations(observations)
+    observations = _checked_run(stream, n_particles, 2, observations)
 
     log_floor = _REJECTION_FLOOR.get()
     observe = pseudo_observer(model)
@@ -458,12 +467,7 @@ def alive_filter(model, kernel, observations, n_particles: int,
             if step_cap < cap:
                 raise EarlyRejection(t) from None
             raise
-        generation = ParticleGeneration(
-            states=pool["states"],
-            weights=pool["weights"],
-            stopping_time=stopping_time,
-        )
-        generations.append(generation)
+        generations.append(ParticleGeneration(states=pool["states"], weights=pool["weights"]))
         log_factors.append(math.log(n_particles - 1) - math.log(stopping_time - 1))
         log_partial += log_factors[-1]
         batch_hint = math.ceil(1.3 * stopping_time)
@@ -479,13 +483,9 @@ def bootstrap_filter(model, observations, n_particles: int,
     Step factor is the mean observation likelihood of the current pool.
     Raises ParticleDeathError if every particle's weight underflows to zero.
     """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 1:
-        raise ValueError(f"need at least 1 particle, got {n_particles}")
+    observations = _checked_run(stream, n_particles, 1, observations, float)
     if model.log_observation_density is None:
         raise ValueError("bootstrap filtering requires a model with an observation density")
-    observations = checked_observations(observations, float)
 
     generations: List[BootstrapGeneration] = []
     log_factors: List[float] = []
@@ -522,13 +522,9 @@ def twisted_bootstrap_filter(model, twist, observations, n_particles: int,
     None, so the guided state and the qh mean come from the initial draw
     plus one transition.
     """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 2:
-        raise ValueError(f"need at least 2 particles, got {n_particles}")
+    observations = _checked_run(stream, n_particles, 2, observations, float)
     if model.log_observation_density is None:
         raise ValueError("bootstrap filtering requires a model with an observation density")
-    observations = checked_observations(observations, float)
 
     generations: List[BootstrapGeneration] = []
     log_factors: List[float] = []
@@ -616,13 +612,9 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     the plain alive ratio (n_particles - 1) / (T - 1), with the stopping
     time integrated out.
     """
-    if stream is None:
-        raise ValueError("an explicit random stream is required")
-    if n_particles < 2:
-        raise ValueError(f"need at least 2 particles, got {n_particles}")
+    observations = _checked_run(stream, n_particles, 2, observations)
     if cap < n_particles:
         raise ValueError(f"cap {cap} cannot be below the acceptance target {n_particles}")
-    observations = checked_observations(observations)
 
     observe = pseudo_observer(model)
     generations: List[ParticleGeneration] = []
@@ -671,7 +663,6 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
         generation = ParticleGeneration(
             states=states,
             weights=weights,
-            stopping_time=stopping_time,
             log_qh_sum=log_numerator,
             log_wh_sum=log_denominator,
         )

@@ -328,13 +328,10 @@ class DiscreteTableTwist:
         self.log_h_table = table
         self._h = np.exp(table)
 
-    @property
-    def steps(self) -> int:
-        return self.log_h_table.shape[0]
-
     def _step(self, y_window) -> int:
-        t = self.steps - len(y_window)
-        if not 0 <= t < self.steps:
+        steps = len(self.log_h_table)
+        t = steps - len(y_window)
+        if not 0 <= t < steps:
             raise ValueError("observation window does not match the twist table")
         return t
 

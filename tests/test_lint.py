@@ -81,3 +81,22 @@ def test_every_private_helper_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in (SRC / "alivetwist").glob("*.py")}
     assert unreferenced_private(sources) == []
+
+
+def builtin_sum_calls(source: str) -> list:
+    """The line of each call to the builtin ``sum`` in ``source``.  From
+    Python 3.12 on it adds floats with compensated rounding, so a float total
+    it forms depends on the Python version."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_the_scan_finds_a_builtin_sum():
+    source = "import numpy as np\nx = sum([1.0])\ny = np.sum(x) + np.ones(2).sum()\nz = sum(\n    (x, y))\n"
+    assert builtin_sum_calls(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "alivetwist").glob("*.py")), ids=lambda path: path.name)
+def test_no_builtin_sum(path):
+    assert builtin_sum_calls(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,6 @@
 """Accept/reject filtering core: stopping times, pools, and estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -86,6 +87,12 @@ class TestErrors:
         err = ParticleDeathError(step=7)
         assert err.step == 7 and "step 7" in str(err)
 
+    @staticmethod
+    def _inputs():
+        """(model, kernel, twist) for any of the four filters."""
+        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+        return lg_model(params), AbcKernel(epsilon=1.0, mode="absolute"), lg_twist(params, 2)
+
     @pytest.mark.parametrize("algo, n_particles, refused", [
         ("alive", 1, "need at least 2 particles"),
         ("alive-twisted", 1, "need at least 2 particles"),
@@ -93,13 +100,22 @@ class TestErrors:
         ("twisted-bootstrap", 1, "need at least 2 particles"),
     ])
     def test_filters_refuse_a_missing_stream_or_too_few_particles(self, algo, n_particles, refused):
-        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
-        inputs = (lg_model(params), AbcKernel(epsilon=1.0, mode="absolute"), lg_twist(params, 2), [0.0])
+        inputs = (*self._inputs(), [0.0])
         run = FILTERS[algo].run
         with pytest.raises(ValueError, match="^an explicit random stream is required$"):
             run(*inputs, 10, DEFAULT_TRIAL_CAP, None)
         with pytest.raises(ValueError, match=f"^{refused}, got {n_particles}$"):
             run(*inputs, n_particles, DEFAULT_TRIAL_CAP, stream_for(0))
+
+    @pytest.mark.parametrize("algo", sorted(FILTERS))
+    @pytest.mark.parametrize("record, refused", [
+        ([], "need at least one observation"),
+        ([0.0, np.nan], "observations must be finite"),
+        ([np.inf], "observations must be finite"),
+    ], ids=["empty", "nan", "inf"])
+    def test_filters_refuse_an_empty_or_non_finite_record(self, algo, record, refused):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            FILTERS[algo].run(*self._inputs(), record, 10, DEFAULT_TRIAL_CAP, stream_for(0))
 
 
 class TestNormConstEstimate:
@@ -107,6 +123,23 @@ class TestNormConstEstimate:
         est = NormConstEstimate.from_log_factors([0.5, -1.25, 2.0])
         assert est.log_total == pytest.approx(0.5 - 1.25 + 2.0, abs=1e-15)
         assert est.log_factors == [0.5, -1.25, 2.0]
+
+    def test_total_adds_left_to_right(self):
+        """A compensated sum (the builtin's from Python 3.12 on) gives 1.0 here."""
+        assert NormConstEstimate.from_log_factors([1e16, 1.0, -1e16]).log_total == 0.0
+
+    @pytest.mark.parametrize("algo", sorted(FILTERS))
+    def test_total_is_the_last_running_sum(self, algo):
+        """The total equals the last ``cumulative_log_z`` the CLI writes.  On
+        these runs the builtin ``sum`` of Python 3.12 differs from it for all
+        four filters."""
+        params = LinearGaussianParams(phi=0.9, nu2=1.0, tau2=1.0)
+        model = lg_model(params)
+        _, observations = simulate(model, 50, stream_for(6))
+        kernel = AbcKernel(epsilon=1.0, mode="absolute")
+        _, estimate = FILTERS[algo].run(model, kernel, lg_twist(params, 2),
+                                        observations, 20, DEFAULT_TRIAL_CAP, stream_for(7))
+        assert estimate.log_total == float(np.cumsum(estimate.log_factors)[-1])
 
 
 class TestBatchSchedule:
@@ -393,6 +426,15 @@ class TestAliveFilter:
         generations, estimate = alive_filter(model, kernel, observations, 10, stream=stream_for(212))
         assert estimate.log_total == 0.0
         assert all(g.stopping_time == 10 for g in generations)
+
+    def test_stopping_time_is_read_off_the_pool(self):
+        model = self._lg()
+        kernel = AbcKernel(epsilon=1.0, mode="absolute")
+        _, observations = simulate(model, 20, stream_for(215))
+        generations, _ = alive_filter(model, kernel, observations, 10, stream=stream_for(216))
+        assert "stopping_time" not in {f.name for f in dataclasses.fields(generations[0])}
+        assert [g.stopping_time for g in generations] == [len(g.states) for g in generations]
+        assert any(g.stopping_time > 10 for g in generations)
 
     def test_structural_invariants_every_step(self):
         model = self._lg()
