@@ -85,12 +85,12 @@ def check_stopping_time_mean(master_seed: int, reps: int) -> CheckResult:
 
     def factor(rate, stream):
         # the ball of radius rate/2 around rate/2 accepts a uniform w.p. rate
-        _, stopping_time = sample_until_alive(
-            lambda stream, count: {"pseudo_obs": stream.random(count)},
+        pool = sample_until_alive(
+            lambda stream, count: dict.fromkeys(("states", "pseudo_obs"), stream.random(count)),
             AbcKernel(rate / 2, "absolute"), rate / 2, n_particles, 10_000_000, stream,
             batch_hint=int(np.ceil(2.6 * n_particles / rate)),
         )
-        return (n_particles - 1) / (stopping_time - 1)
+        return (n_particles - 1) / (pool.stopping_time - 1)
 
     return _replicate_means("stopping-time factor unbiased", [
         ("rate {target}: mean {mean:.5f}", partial(factor, rate),

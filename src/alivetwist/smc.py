@@ -10,20 +10,21 @@ acceptances) feed resampling and the normalising-constant factor
 too-tight tolerance fails loudly instead of looping forever.
 
 Proposals are drawn in speculative batches for vectorisation.  The first
-batch is sized from a hint (the filters pass 1.3 times the previous stopping
-time); after a short batch the next is sized from the acceptance rate seen so
-far, doubling only while nothing has been accepted.  No batch draws more than
-``_SPECULATION`` proposals past what the step is known to need (``target``
-before any acceptance, the rate's estimate after): stopping times swing
-widely from step to step, and one batch's fixed cost is worth only 350-600
-proposals on both shipped models, so a larger batch spends more on proposals
-simulated past the stopping position and discarded than the batch it saves.
-Sizes depend only on proposals already drawn and every batch is generated in
-full before truncating at the stopping position, so the pool is the prefix of
-an iid proposal sequence up to the target-th acceptance whatever the schedule.
-The kernel scores each batch once; the stop is read off the positions of the
-batch's nonzero weights, and the batch's pseudo-observations are dropped
-once scored, since no filter reads them.
+batch is sized from a hint (the filters pass ``_FIRST_BATCH_MARGIN`` = 1.3
+times the previous stopping time); after a short batch the next is sized
+from the acceptance rate seen so far, doubling only while nothing has been
+accepted.  No batch draws more than ``_SPECULATION`` proposals past what the
+step is known to need (``target`` before any acceptance, the rate's estimate
+after): stopping times swing widely from step to step, and one batch's fixed
+cost is worth only 350-600 proposals on both shipped models, so a larger
+batch spends more on proposals simulated past the stopping position and
+discarded than the batch it saves.  Sizes depend only on proposals already
+drawn and every batch is generated in full before truncating at the stopping
+position, so the pool is the prefix of an iid proposal sequence up to the
+target-th acceptance whatever the schedule.  The kernel scores each batch
+once and the stop is read off its nonzero weights.  The pool is one
+:class:`ParticleGeneration` of states and weights (no filter reads the
+pseudo-observations), whose ``survivors()`` feed the next step.
 Output is bit-for-bit reproducible for a given seed and schedule.  A
 different schedule hands each proposal different draws from the stream (a
 proposer that reads the stream takes its draws batch by batch), which
@@ -112,6 +113,7 @@ DEFAULT_TRIAL_CAP = 1_000_000
 
 _MAX_BATCH = 1 << 18
 _TOP_UP_MARGIN = 1.2
+_FIRST_BATCH_MARGIN = 1.3  # a step's first batch over the previous stopping time
 # proposals a batch may draw past the step's known need; one batch's fixed
 # cost (propose, weights, stop search) is 350-600 proposals' worth on both models
 _SPECULATION = 256
@@ -158,7 +160,7 @@ class ParticleDeathError(RuntimeError):
 
 @dataclass(slots=True)
 class ParticleGeneration:
-    """One step's pool from an accept/reject filter.
+    """One accept/reject step's pool, as :func:`sample_until_alive` returns it.
 
     states and weights hold the step's proposals up to its last acceptance,
     so their length is the stopping time T (``stopping_time`` reads it off
@@ -176,6 +178,11 @@ class ParticleGeneration:
     @property
     def stopping_time(self) -> int:
         return len(self.states)
+
+    def survivors(self) -> np.ndarray:
+        """The accepted states among the first T - 1 (the T-th is left out),
+        in pool order: the particles the next step picks its ancestors from."""
+        return self.states[self.weights[:-1].nonzero()[0]]
 
 
 @dataclass(slots=True)
@@ -262,12 +269,14 @@ def _resample(stream: np.random.Generator, cdf: np.ndarray, size: int) -> np.nda
 def _checked_run(stream, n_particles: int, least: int, observations, dtype=None) -> np.ndarray:
     """A filter run's record as an array; raises ValueError without an
     explicit stream, with fewer than ``least`` particles, or if the record is
-    empty or not all finite."""
+    not 1-d, empty or not all finite."""
     if stream is None:
         raise ValueError("an explicit random stream is required")
     if n_particles < least:
         raise ValueError(f"need at least {least} particle{'s' * (least > 1)}, got {n_particles}")
     observations = np.asarray(observations, dtype=dtype)
+    if observations.ndim != 1:
+        raise ValueError("observations must be a 1-d record")
     if observations.size == 0:
         raise ValueError("need at least one observation")
     if not np.all(np.isfinite(observations)):
@@ -311,14 +320,14 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
                        kernel, observed, target: int, cap: int,
                        stream: np.random.Generator,
                        batch_hint: Optional[int] = None,
-                       step: int = 0):
-    """Propose until ``target`` particles are accepted; return (pool, T).
+                       step: int = 0) -> ParticleGeneration:
+    """Propose until ``target`` particles are accepted; return the pool.
 
-    ``propose(stream, count)`` returns a dict of equal-length arrays that must
-    include 'pseudo_obs'.  ``kernel.weights`` scores those once per batch and
-    they are then dropped: the returned pool holds the proposer's other keys
-    plus 'weights' (the kernel's output, a boolean mask for the shipped
-    kernels), truncated at the stopping position.  The stop is the position
+    ``propose(stream, count)`` returns a dict whose 'states' and 'pseudo_obs'
+    hold ``count`` proposals each.  ``kernel.weights`` scores the latter once
+    per batch; the pool is the :class:`ParticleGeneration` of the states and
+    those weights (a boolean mask for the shipped kernels), cut at the
+    stopping position T.  The stop is the position
     of the target-th nonzero weight, counted over each batch's nonzero
     positions (one ``.nonzero()`` per batch).  ``batch_hint`` sizes
     the first batch (at least ``target``; without one, max(2 target, 64));
@@ -333,7 +342,7 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
     if cap < target:
         raise ValueError(f"cap {cap} cannot be below the acceptance target {target}")
 
-    chunks: List[dict] = []
+    chunks = []  # (states, weights) of each batch
     drawn = 0
     accepted = 0
     size = min(max(target, batch_hint) if batch_hint else max(2 * target, 64), target + _SPECULATION)
@@ -342,19 +351,13 @@ def sample_until_alive(propose: Callable[[np.random.Generator, int], dict],
         if size <= 0:
             raise StoppingTimeCapError(step, drawn, accepted, target, cap)
         batch = propose(stream, size)
-        batch["weights"] = kernel.weights(batch.pop("pseudo_obs"), observed)
-        hits = batch["weights"].nonzero()[0]
+        weights = kernel.weights(batch["pseudo_obs"], observed)
+        chunks.append((batch["states"], weights))
+        hits = weights.nonzero()[0]
         if accepted + hits.size >= target:
-            stop = int(hits[target - accepted - 1]) + 1
-            if not chunks:  # common case: the first batch already covers the target
-                return {name: values[:stop] for name, values in batch.items()}, stop
-            chunks.append(batch)
-            pool = {
-                name: np.concatenate([chunk[name] for chunk in chunks])[: drawn + stop]
-                for name in chunks[0]
-            }
-            return pool, drawn + stop
-        chunks.append(batch)
+            stop = drawn + int(hits[target - accepted - 1]) + 1
+            states, weights = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+            return ParticleGeneration(states[:stop], weights[:stop])
         drawn += size
         accepted += hits.size
         # top up by the acceptance rate seen so far, with a 20% margin so one
@@ -454,12 +457,12 @@ def alive_filter(model, kernel, observations, n_particles: int,
     log_factors: List[float] = []
     log_partial = 0.0
     batch_hint = None
-    accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
+    accepted_states = None  # the previous pool's survivors
 
     for t, y in enumerate(observations):
         step_cap = cap if log_floor is None else _floor_cap(log_partial, log_floor, n_particles, cap, t)
         try:
-            pool, stopping_time = sample_until_alive(
+            pool = sample_until_alive(
                 alive_proposer(model, observe, accepted_states), kernel, y, n_particles,
                 step_cap, stream, batch_hint=batch_hint, step=t,
             )
@@ -467,11 +470,11 @@ def alive_filter(model, kernel, observations, n_particles: int,
             if step_cap < cap:
                 raise EarlyRejection(t) from None
             raise
-        generations.append(ParticleGeneration(states=pool["states"], weights=pool["weights"]))
-        log_factors.append(math.log(n_particles - 1) - math.log(stopping_time - 1))
+        generations.append(pool)
+        log_factors.append(math.log(n_particles - 1) - math.log(pool.stopping_time - 1))
         log_partial += log_factors[-1]
-        batch_hint = math.ceil(1.3 * stopping_time)
-        accepted_states = pool["states"][pool["weights"][: stopping_time - 1].nonzero()[0]]
+        batch_hint = math.ceil(_FIRST_BATCH_MARGIN * pool.stopping_time)
+        accepted_states = pool.survivors()
 
     return generations, NormConstEstimate.from_log_factors(log_factors)
 
@@ -620,7 +623,7 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
     generations: List[ParticleGeneration] = []
     log_factors: List[float] = []
     batch_hint = None
-    accepted_states = None  # the previous pool's weight-1 particles in its first T - 1
+    accepted_states = None  # the previous pool's survivors
 
     for t in range(observations.size):
         y = observations[t]
@@ -642,32 +645,28 @@ def alive_twisted_filter(model, kernel, twist, observations, n_particles: int,
 
         rest = 0  # plain proposals up to the pool's stopping position, once it has one
         try:
-            pool, rest = sample_until_alive(
+            pool = sample_until_alive(
                 alive_proposer(model, observe, accepted_states), kernel, y, n_particles - 1,
                 cap, stream, batch_hint=batch_hint, step=t,
             )
+            rest = pool.stopping_time
             if rest == cap:  # nothing left to draw the guided pair with
                 raise StoppingTimeCapError(t, 0, 0, 1, 0)
-            guided, _ = sample_until_alive(
+            guided = sample_until_alive(
                 propose_guided, kernel, y, 1, cap - rest, stream, batch_hint=GUIDED_BATCH, step=t,
             )
         except StoppingTimeCapError as err:
             accepted = n_particles - 1 if rest else err.accepted
             raise StoppingTimeCapError(t, rest + err.drawn, accepted, n_particles, cap) from None
-        stopping_time = rest + 1
-        states = np.concatenate((guided["states"][-1:], pool["states"]))
-        weights = np.concatenate((guided["weights"][-1:], pool["weights"]))
-
-        accepted_states = states[weights[: stopping_time - 1].nonzero()[0]]
-        log_denominator = _logsumexp1d(twist.log_h(y_window, accepted_states))
         generation = ParticleGeneration(
-            states=states,
-            weights=weights,
+            np.concatenate((guided.states[-1:], pool.states)),
+            np.concatenate((guided.weights[-1:], pool.weights)),
             log_qh_sum=log_numerator,
-            log_wh_sum=log_denominator,
         )
+        accepted_states = generation.survivors()
+        generation.log_wh_sum = _logsumexp1d(twist.log_h(y_window, accepted_states))
         generations.append(generation)
-        log_factors.append(log_numerator - log_denominator)
-        batch_hint = math.ceil(1.3 * stopping_time)
+        log_factors.append(log_numerator - generation.log_wh_sum)
+        batch_hint = math.ceil(_FIRST_BATCH_MARGIN * generation.stopping_time)
 
     return generations, NormConstEstimate.from_log_factors(log_factors)

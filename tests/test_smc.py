@@ -14,6 +14,7 @@ from alivetwist import (
     LinearGaussianParams,
     NormConstEstimate,
     ParticleDeathError,
+    ParticleGeneration,
     StochasticVolatilityParams,
     StoppingTimeCapError,
     alive_filter,
@@ -59,7 +60,8 @@ class BinaryKernel:
 def scripted_proposer(pattern):
     """propose(stream, count) feeding a fixed global acceptance pattern.
 
-    The requested counts are recorded, in order, in ``propose.sizes``.
+    Each proposal's state is its position in the pattern (its tag).  The
+    requested counts are recorded, in order, in ``propose.sizes``.
     """
     pattern = np.asarray(pattern, dtype=np.int64)
     cursor = [0]
@@ -71,7 +73,7 @@ def scripted_proposer(pattern):
         taken = pattern[start : start + count]
         if taken.size < count:  # pattern exhausted: everything else rejects
             taken = np.concatenate([taken, np.zeros(count - taken.size, dtype=np.int64)])
-        return {"pseudo_obs": taken, "tag": np.arange(start, start + count)}
+        return {"pseudo_obs": taken, "states": np.arange(start, start + count)}
 
     propose.sizes = []
     return propose
@@ -112,7 +114,10 @@ class TestErrors:
         ([], "need at least one observation"),
         ([0.0, np.nan], "observations must be finite"),
         ([np.inf], "observations must be finite"),
-    ], ids=["empty", "nan", "inf"])
+        (np.zeros(()), "observations must be a 1-d record"),
+        (np.zeros((5, 1)), "observations must be a 1-d record"),
+        (np.zeros((5, 2)), "observations must be a 1-d record"),
+    ], ids=["empty", "nan", "inf", "0-d", "column", "two-column"])
     def test_filters_refuse_an_empty_or_non_finite_record(self, algo, record, refused):
         with pytest.raises(ValueError, match=f"^{refused}$"):
             FILTERS[algo].run(*self._inputs(), record, 10, DEFAULT_TRIAL_CAP, stream_for(0))
@@ -217,13 +222,14 @@ class TestSampleUntilAlive:
 
     def test_stops_exactly_at_target_acceptance(self):
         pattern = [0, 1, 0, 0, 1, 1, 0, 1, 1, 1]
-        pool, stop = sample_until_alive(
+        pool = sample_until_alive(
             scripted_proposer(pattern), BinaryKernel(), 0, 3, 100, stream_for(0)
         )
-        assert stop == 6  # third acceptance sits at position 6 (1-based)
-        np.testing.assert_array_equal(pool["weights"], [0, 1, 0, 0, 1, 1])
-        np.testing.assert_array_equal(pool["tag"], np.arange(6))
-        assert pool["weights"][-1] == 1
+        assert isinstance(pool, ParticleGeneration)
+        assert pool.stopping_time == 6  # third acceptance sits at position 6 (1-based)
+        np.testing.assert_array_equal(pool.weights, [0, 1, 0, 0, 1, 1])
+        np.testing.assert_array_equal(pool.states, np.arange(6))
+        assert pool.weights[-1] == 1
 
     def test_result_independent_of_batching(self):
         """A proposer that reads no stream gives the same pool under any
@@ -233,16 +239,16 @@ class TestSampleUntilAlive:
             pattern = (np.arange(100 * period) % period == 3).astype(int)
             reference = None
             for hint in (None, 2, 3, 64, 399, 5000):
-                pool, stop = sample_until_alive(
+                pool = sample_until_alive(
                     scripted_proposer(pattern), BinaryKernel(), 0, target, 10_000, stream_for(0),
                     batch_hint=hint,
                 )
                 if reference is None:
-                    reference = (pool, stop)
+                    reference = pool
                 else:
-                    assert stop == reference[1]
-                    for name in ("weights", "tag"):
-                        np.testing.assert_array_equal(pool[name], reference[0][name])
+                    assert pool.stopping_time == reference.stopping_time
+                    np.testing.assert_array_equal(pool.weights, reference.weights)
+                    np.testing.assert_array_equal(pool.states, reference.states)
 
     def test_cap_exhaustion_raises_with_counts(self):
         with pytest.raises(StoppingTimeCapError) as info:
@@ -260,7 +266,7 @@ class TestSampleUntilAlive:
 
         def propose(stream, count):
             drawn.append(count)
-            return {"pseudo_obs": np.zeros(count, dtype=np.int64)}
+            return dict.fromkeys(("states", "pseudo_obs"), np.zeros(count, dtype=np.int64))
 
         with pytest.raises(StoppingTimeCapError):
             sample_until_alive(propose, BinaryKernel(), 0, 2, 137, stream_for(0))
@@ -276,11 +282,11 @@ class TestSampleUntilAlive:
                 return (np.asarray(simulated) < rate).astype(np.int64)
 
         def propose(stream, count):
-            return {"pseudo_obs": stream.random(count)}
+            return dict.fromkeys(("states", "pseudo_obs"), stream.random(count))
 
         return np.array([
             sample_until_alive(propose, ThresholdKernel(), 0.0, target, 10**6, stream,
-                               batch_hint=batch_hint)[1]
+                               batch_hint=batch_hint).stopping_time
             for _ in range(reps)
         ])
 
@@ -366,19 +372,22 @@ class TestStopAgainstCumsumReference:
         scripted = scripted_proposer(pattern)
 
         def propose(stream, count):
-            batch = scripted(stream, count)
-            batch["states"] = -0.5 * batch["tag"]
+            batch = scripted(stream, count)  # states: the tag, then a second column
+            batch["states"] = np.column_stack((batch["states"], -0.5 * batch["states"]))
             return batch
 
-        pool, stop = sample_until_alive(propose, kernel, 0, target, 10_000, stream_for(0),
-                                        batch_hint=hint)
+        pool = sample_until_alive(propose, kernel, 0, target, 10_000, stream_for(0),
+                                  batch_hint=hint)
+        stop = pool.stopping_time
         want, _ = cumsum_reference(pattern, target, 10_000)
         assert stop == want
-        assert set(pool) == {"states", "tag", "weights"}  # no pseudo_obs
-        assert pool["weights"].dtype == dtype
-        np.testing.assert_array_equal(pool["weights"], pattern[:stop])
-        np.testing.assert_array_equal(pool["tag"], np.arange(stop))
-        np.testing.assert_array_equal(pool["states"], -0.5 * np.arange(stop))
+        assert pool.weights.dtype == dtype
+        np.testing.assert_array_equal(pool.weights, pattern[:stop])
+        np.testing.assert_array_equal(pool.states[:, 0], np.arange(stop))
+        np.testing.assert_array_equal(pool.states[:, 1], -0.5 * np.arange(stop))
+        head = pattern[: stop - 1] != 0
+        np.testing.assert_array_equal(pool.survivors(), pool.states[: stop - 1][head])
+        assert len(pool.survivors()) == target - 1
 
         ends = np.cumsum(scripted.sizes)
         if where == "first":

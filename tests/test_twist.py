@@ -77,15 +77,14 @@ def _rejection_pairs(twist, model, anchor, window, kernel, stream, draws):
     candidate of sample_until_alive over propose_guided_states, as the alive
     twisted filter draws them."""
 
-    def propose(stream, count):
+    def propose(stream, count):  # each pair is one row of the pool's states
         states = twist.propose_guided_states(anchor, window, stream, count)
         pseudo_obs = model.observation_sampler(states, stream)
-        return {"states": states, "pseudo_obs": pseudo_obs, "simulated": pseudo_obs}
+        return {"states": np.column_stack((states, pseudo_obs)), "pseudo_obs": pseudo_obs}
 
-    pairs = [sample_until_alive(propose, kernel, window[0], 1, 10**6, stream)[0]
-             for _ in range(draws)]
-    return (np.array([pool["states"][-1] for pool in pairs]),
-            np.array([pool["simulated"][-1] for pool in pairs]))
+    pairs = np.array([sample_until_alive(propose, kernel, window[0], 1, 10**6, stream).states[-1]
+                      for _ in range(draws)])
+    return pairs[:, 0], pairs[:, 1]
 
 
 class TestValidationAndTruncation:

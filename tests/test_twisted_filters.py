@@ -231,6 +231,10 @@ class TestAliveTwisted:
             window = observations[t:]
             edge = generation.stopping_time - 1
             accepted = generation.states[generation.weights[:edge].nonzero()[0]]
+            # the survivors: the guided particle, always accepted and first,
+            # then the plain pool's acceptances but its last, the T-th entry
+            np.testing.assert_array_equal(generation.survivors(), accepted)
+            assert accepted.size == n - 1 and accepted[0] == generation.states[0]
             # the recorded denominator is the h-sum over this pool's accepted
             want_wh = float(logsumexp(twist.log_h(window, accepted)))
             assert generation.log_wh_sum == pytest.approx(want_wh, abs=1e-10)
